@@ -76,7 +76,7 @@ def _resolve_href(base_url: str, raw: str, bs=None) -> str | None:
     back. ``bs`` is ``_split_base(base_url)``, hoisted by per-page
     callers; computed here when omitted.
     """
-    if "\t" in raw or "\n" in raw or "\r" in raw or raw[-1] <= " " or raw[0] <= " ":
+    if not raw or "\t" in raw or "\n" in raw or "\r" in raw or raw[-1] <= " " or raw[0] <= " ":
         return _resolve_href_slow(base_url, raw)
     if bs is None:
         bs = _split_base(base_url)

@@ -157,6 +157,15 @@ def build_dictionary(edges: rd.Dataset, src_col: str, dst_col: str, n_buckets: i
 BROADCAST_DICT_LIMIT = 2_000_000  # keys; ~150 MB as a pandas index
 
 
+def _string_keys(t: pa.Table, cols: list[str]) -> pa.Table:
+    """Key columns as strings, the dictionary's key type
+    (_keys_of_edges casts them): int64 keys would miss every lookup."""
+    for c in cols:
+        if not (pa.types.is_string(t[c].type) or pa.types.is_large_string(t[c].type)):
+            t = t.set_column(t.schema.get_field_index(c), c, t[c].cast(pa.string()))
+    return t
+
+
 def encode_edges_broadcast(
     edges: rd.Dataset,
     dict_ds: rd.Dataset,
@@ -186,7 +195,7 @@ def encode_edges_broadcast(
             self.mapping = ray.get(ref)
 
         def __call__(self, t: pa.Table) -> pa.Table:
-            df = t.to_pandas()
+            df = _string_keys(t, [src_col, dst_col]).to_pandas()
             if dedup_pairs:
                 # in-batch combiner only; GLOBAL dedup happens on the
                 # encoded int pairs below (one cheap int shuffle vs two
@@ -238,6 +247,7 @@ def encode_edges(
     dst_dict = dict_ds.map_batches(
         lambda t: pa.table({"key": t["key"], "dst": t["id"]}), batch_format="pyarrow"
     )
+    edges = edges.map_batches(lambda t: _string_keys(t, [src_col, dst_col]), batch_format="pyarrow")
     wcols = [("weight", pa.float64())] if weighted else []
     edges_schema = pa.schema(
         [(src_col, pa.string()), (dst_col, pa.string()), *wcols]

@@ -16880,13 +16880,11 @@ def q_lsh_bucket_stats(sf_dir: str, n_buckets: int = 16):
     C(size, 2)) — what you read to predict verify-stage cost and spot
     degenerate bands before running the full pair sweep. One bucketed
     shuffle on (band, key) for sizes, one tiny histogram sum."""
-    from ..stages.dedup import SimHashStage
+    from ..stages.dedup import simhash_signatures
     from ..stages.join import add_bucket, bucket_sum
 
     docs = _table(sf_dir, "documents", ["doc_id", "text"])
-    sigs = docs.map_batches(
-        SimHashStage, batch_format="pyarrow", concurrency=(1, 8)
-    )
+    sigs = simhash_signatures(docs)
 
     def explode(t: pa.Table) -> pa.Table:
         n = t.num_rows

@@ -1,31 +1,45 @@
 """Triangle counting — the non-iterative join pipeline (SURVEY.md §7).
 
-Algorithm (standard distributed node-iterator with degree orientation):
-  1. canonicalize to the simple undirected graph: distinct (a<b) pairs,
-     self-loops dropped
-  2. orient each edge from the endpoint with smaller (degree, id) to
-     the larger — bounds every out-degree by O(sqrt(E)), which is the
-     hub-skew mitigation (a web-scale hub generates wedges proportional
-     to sqrt(E), not deg^2)
-  3. wedges: per oriented source, all pairs of out-neighbors
-     (groupby(src).map_groups, vectorized pair expansion)
-  4. close wedges: hash semi-join of wedge (v,w) keys against the
-     oriented edge set — every match is exactly one triangle
+Both paths start from the simple undirected graph: distinct (a<b)
+pairs, self-loops dropped (one distributed dedup shuffle). Each edge
+is then oriented from the endpoint with smaller (degree, id) to the
+larger. That counts every triangle exactly once, at the corner whose
+two out-edges form it, and bounds every out-degree by O(sqrt(E)) —
+the hub-skew mitigation: a web-scale hub lists wedges proportional to
+sqrt(E), not deg^2.
 
-Everything is plain int64 rows (wedge endpoints packed into one int64
-key, valid for ids < 2^31 — raise to a string key beyond that), so all
-shuffles stay zero-copy Arrow. Total is orientation-invariant and
-matches the brute-force oracle exactly.
+In-memory path (simple edge set <= BROADCAST_EDGE_LIMIT):
+  1. the deduplicated edge set is pulled into the calling process
+     once; dense ranks (np.unique) give degrees (np.bincount) and the
+     orientation, and the oriented edges become a forward CSR with
+     sorted neighbour lists;
+  2. the CSR and the sorted undirected edge-key array are put in the
+     object store once;
+  3. about ``n_buckets`` plain Ray tasks each take a range of sources
+     cut on the cumulative wedge count sum C(d+, 2). A task lists its
+     wedges with np.repeat over CSR ranges, in fixed-size chunks, and
+     closes them with searchsorted against the key array (sorted-set
+     intersection as in HERO, SIGMOD 2024). No wedge leaves its task.
+
+Shuffle path (larger edge sets): degrees by bucket_sum, orientation by
+a broadcast degree lookup or two hash joins, wedges listed per source
+bucket by the same vectorized kernel, and closed by a hash semi-join
+of wedge (v,w) keys against the edge keys — every match is one
+triangle. Wedge endpoints are packed into one int64 key there, valid
+for ids < 2^31; both paths raise a named error beyond that.
+
+Totals are orientation-invariant and match the brute-force oracle
+exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 
-from ..stages.join import bucket_join, distinct
+from ..stages.join import add_bucket, bucket_join, bucket_map_groups, bucket_sum, distinct
 
 _SHIFT = np.int64(1) << np.int64(32)
 
@@ -45,8 +59,109 @@ def canonical_edges(edges: rd.Dataset, n_buckets: int = 64) -> rd.Dataset:
     return distinct(edges.map_batches(canon, batch_format="pyarrow"), ["src", "dst"], n_buckets)
 
 
-BROADCAST_EDGE_LIMIT = 5_000_000  # edge keys held as one sorted int64 array
-BROADCAST_DEG_LIMIT = 5_000_000  # vertices; 2 int64 arrays ~80 MB
+BROADCAST_EDGE_LIMIT = 5_000_000  # simple edges oriented in the calling process (~0.5 GB of int64 temporaries)
+BROADCAST_DEG_LIMIT = 5_000_000  # shuffle path: vertices; 2 int64 arrays ~80 MB
+_WEDGE_CHUNK = 1 << 20  # wedges listed and closed per step of a count task
+
+
+def _check_ids(max_id: int) -> None:
+    if max_id >= (1 << 31):
+        raise ValueError(
+            f"triangle_count packs vertex-id pairs into int64 keys; max id "
+            f"{max_id} >= 2^31 would overflow — re-encode ids densely or "
+            f"use a wider key"
+        )
+
+
+def _partners(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position of the CSR slice ``indptr`` spans, and how many
+    later positions share its row: the wedges whose first neighbour
+    sits there."""
+    pos = np.arange(indptr[0], indptr[-1])
+    return pos, np.repeat(indptr[1:], np.diff(indptr)) - pos - 1
+
+
+def _wedge_pairs(pos: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour positions (i, j), i < j in one row, of every wedge
+    whose first neighbour is in ``pos`` — np.repeat, no per-row loop."""
+    i = np.repeat(pos, cnt)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return i, j
+
+
+@ray.remote
+def _count_rows(csr, r0: int, r1: int, chunk: int, per_vertex: bool):
+    """Triangles closed by the wedges of forward-CSR rows [r0, r1):
+    (count, None), or (count, (ranks, corner counts)) with
+    ``per_vertex``. At most about ``chunk`` wedges exist at a time."""
+    indptr, nbr, keys, n = csr
+    ip = indptr[r0 : r1 + 1]
+    pos, cnt = _partners(ip)
+    before = np.cumsum(cnt) - cnt  # wedges listed before each position
+    total, corners = 0, []
+    start = 0
+    while start < len(pos):
+        stop = max(int(np.searchsorted(before, before[start] + chunk)), start + 1)
+        i, j = _wedge_pairs(pos[start:stop], cnt[start:stop])
+        start = stop
+        k = nbr[i] * n + nbr[j]
+        hit = keys[np.minimum(np.searchsorted(keys, k), len(keys) - 1)] == k
+        total += int(hit.sum())
+        if per_vertex:
+            i, j = i[hit], j[hit]
+            corners += [r0 + np.searchsorted(ip, i, side="right") - 1, nbr[i], nbr[j]]
+    if not per_vertex:
+        return total, None
+    return total, np.unique(np.concatenate(corners or [np.empty(0, np.int64)]), return_counts=True)
+
+
+def _count_in_memory(simple: rd.Dataset, n_buckets: int, per_vertex: bool):
+    # an empty edge set can come back as blocks without columns
+    tabs = [t for t in ray.get(simple.to_arrow_refs()) if t.num_rows]
+    a = np.concatenate([np.empty(0, np.int64)] + [t["src"].to_numpy() for t in tabs])
+    b = np.concatenate([np.empty(0, np.int64)] + [t["dst"].to_numpy() for t in tabs])
+    _check_ids(int(b.max()) if len(b) else 0)
+
+    # dense ranks keep id order, so canonical a < b gives ra < rb and
+    # the (degree, id) orientation reduces to deg[ra] <= deg[rb]
+    verts, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    n, m = len(verts), len(a)
+    ra, rb = inv[:m], inv[m:]
+    deg = np.bincount(inv, minlength=n)
+    a_first = deg[ra] <= deg[rb]
+    fwd = np.sort(np.where(a_first, ra, rb) * n + np.where(a_first, rb, ra))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(fwd // n, minlength=n))])
+    dplus = np.diff(indptr)
+    cum_w = np.cumsum(dplus * (dplus - 1) // 2)
+    total_w = int(cum_w[-1]) if n else 0
+
+    def per_ds(tri: np.ndarray) -> rd.Dataset:
+        nz = np.flatnonzero(tri)
+        return rd.from_arrow(
+            pa.table({"vertex": pa.array(verts[nz], pa.int64()), "triangles": pa.array(tri[nz], pa.int64())})
+        )
+
+    if total_w == 0:
+        return 0, (per_ds(np.zeros(n, np.int64)) if per_vertex else None)
+
+    # source ranges of about equal wedge counts, one task each
+    n_tasks = min(n_buckets, -(-total_w // _WEDGE_CHUNK))
+    cuts = np.searchsorted(cum_w, np.arange(1, n_tasks) * total_w // n_tasks) + 1
+    bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    csr = ray.put((indptr, fwd % n, np.sort(ra * n + rb), n))
+    refs = [
+        _count_rows.remote(csr, int(lo), int(hi), _WEDGE_CHUNK, per_vertex)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    ray.wait(refs, num_returns=len(refs))  # every task has ended, failed or not
+    parts = ray.get(refs)
+    total = sum(c for c, _ in parts)
+    if not per_vertex:
+        return total, None
+    tri = np.zeros(n, np.int64)
+    for _, (r, c) in parts:
+        tri[r] += c  # ranks are unique within one task's output
+    return total, per_ds(tri)
 
 
 def triangle_count(
@@ -57,51 +172,33 @@ def triangle_count(
     Returns (total, per_vertex_ds|None) where per_vertex_ds is
     (vertex:int64, triangles:int64) for vertices in >=1 triangle.
 
-    Wedge closure strategy: when the (simple) edge set fits comfortably
-    in memory (<= BROADCAST_EDGE_LIMIT keys, i.e. <=40 MB as int64) the
-    key set is broadcast once via ray.put and wedges are filtered with
-    a vectorized searchsorted inside map_batches — NO shuffle. Larger
-    graphs fall back to the hash-partitioned semi-join.
+    A simple edge set of at most BROADCAST_EDGE_LIMIT edges is counted
+    over one broadcast forward CSR by plain Ray tasks — no shuffle
+    after the dedup. Larger ones take the hash-partitioned semi-join.
     """
     simple = canonical_edges(edges, n_buckets).materialize()
+    if simple.count() <= BROADCAST_EDGE_LIMIT:
+        return _count_in_memory(simple, n_buckets, per_vertex)
 
-    # wedge/edge keys pack (lo, hi) as lo*2^32 + hi in int64 — enforce
-    # the id < 2^31 precondition instead of silently overflowing (the
-    # canonical set's max endpoint is always in the `dst` column)
-    max_id = simple.max("dst") or 0
-    if max_id >= (1 << 31):
-        raise ValueError(
-            f"triangle_count packs vertex-id pairs into int64 keys; max id "
-            f"{max_id} >= 2^31 would overflow — re-encode ids densely or "
-            f"use a wider key"
-        )
+    # the canonical set's max endpoint is always in the `dst` column
+    _check_ids(simple.max("dst") or 0)
 
     # degrees on the simple graph
     def endpoints(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"v": pa.chunked_array([t["src"].combine_chunks(), t["dst"].combine_chunks()])}
-        )
+        v = pa.chunked_array([t["src"].combine_chunks(), t["dst"].combine_chunks()])
+        return pa.table({"v": v, "deg": pa.array(np.ones(len(v), np.int64))})
 
-    deg = (
-        simple.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("v")
-        .count()
-        .map_batches(
-            lambda t: pa.table({"v": t["v"], "deg": t["count()"].cast(pa.int64())}),
-            batch_format="pyarrow",
-        )
-    )
+    deg = bucket_sum(
+        simple.map_batches(endpoints, batch_format="pyarrow"), ["v"], ["deg"], n_buckets
+    ).materialize()
 
     # attach both degrees. Small-side fast path: the degree table is
     # |V| rows — when it fits BROADCAST_DEG_LIMIT it ships once via
     # ray.put (two sorted int64 arrays, searchsorted lookup per batch)
     # instead of TWO partitioned hash joins; larger vertex sets fall
     # back to the shuffle joins.
-    deg = deg.materialize()  # reused by both paths; it's N rows
     ii = pa.int64()
     if deg.count() <= BROADCAST_DEG_LIMIT:
-        import ray
-
         dp = deg.to_pandas()
         order = np.argsort(dp["v"].to_numpy())
         ref = ray.put((dp["v"].to_numpy()[order], dp["deg"].to_numpy()[order]))
@@ -154,10 +251,9 @@ def triangle_count(
 
         oriented = e2.map_batches(orient, batch_format="pyarrow").materialize()
 
-    # wedges per oriented source (groupby co-locates each u's
-    # out-neighborhood). Wedge (v,w) is a triangle iff v-w is an edge;
-    # wedge endpoints are emitted sorted, edges may be oriented either
-    # way — canonical edges are keyed by sorted ids.
+    # wedges per oriented source bucket as rows, hash-join closure
+    # against the edge keys. Wedge endpoints are emitted sorted; edges
+    # may be oriented either way, so edge keys use sorted ids.
     def edge_keys(t: pa.Table) -> pa.Table:
         u = t["u"].to_numpy()
         v = t["v"].to_numpy()
@@ -165,125 +261,16 @@ def triangle_count(
         hi = np.maximum(u, v)
         return pa.table({"k": pa.array(lo * _SHIFT + hi), "hit": pa.array(np.ones(len(u), np.int8))})
 
-    n_edges = simple.count()
-    if n_edges <= BROADCAST_EDGE_LIMIT:
-        # closure FUSED into the wedge stage: the sorted edge-key array
-        # is broadcast once, each group tests its wedges immediately
-        # and emits only per-vertex partial counts — the wedge set
-        # (which can be orders of magnitude larger than the graph)
-        # never enters the object store.
-        import ray
-
-        keys_arr = np.sort(
-            oriented.map_batches(edge_keys, batch_format="pyarrow")
-            .to_pandas()["k"]
-            .to_numpy()
-        )
-        ref = ray.put(keys_arr)
-
-        def wedge_close_group(t: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            # sort once, slice per source (np.split on boundaries) —
-            # NOT a per-unique boolean mask (that re-scans the whole
-            # bucket per source) and NOT groupby(u).map_groups (that
-            # pays ~7 ms per GROUP, i.e. per vertex — NOTES.md)
-            u = t["u"].to_numpy()
-            vcol = t["v"].to_numpy()
-            o = np.lexsort((vcol, u))
-            u, vcol = u[o], vcol[o]
-            bounds = np.flatnonzero(np.diff(u)) + 1
-            srcs = u[np.concatenate([[0], bounds])] if len(u) else np.array([], u.dtype)
-            n_hits = 0
-            out_v, out_c = [], []
-            for uu, nbrs in zip(srcs, np.split(vcol, bounds)):
-                n = len(nbrs)
-                if n < 2 or len(keys) == 0:
-                    continue
-                i, j = np.triu_indices(n, k=1)
-                k = nbrs[i] * _SHIFT + nbrs[j]
-                pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-                hit = keys[pos] == k
-                h = int(hit.sum())
-                if h == 0:
-                    continue
-                n_hits += h
-                if per_vertex:
-                    # per-group partial triangle counts for all 3 corners
-                    corners = np.concatenate(
-                        [np.full(h, uu, dtype=np.int64), nbrs[i][hit], nbrs[j][hit]]
-                    )
-                    cv, cc = np.unique(corners, return_counts=True)
-                    out_v.append(cv)
-                    out_c.append(cc.astype(np.int64))
-            if not per_vertex:
-                return pa.table({"vertex": pa.array([-1], pa.int64()),
-                                 "cnt": pa.array([n_hits], pa.int64())})
-            if not out_v:
-                return pa.table(
-                    {"vertex": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
-                )
-            return pa.table(
-                {"vertex": pa.array(np.concatenate(out_v)), "cnt": pa.array(np.concatenate(out_c))}
-            )
-
-        from ..stages.join import add_bucket, bucket_map_groups
-
-        fused = bucket_map_groups(
-            add_bucket(oriented, ["u"], n_buckets),
-            n_buckets,
-            wedge_close_group,
-            "pyarrow",
-        )
-        if not per_vertex:
-            # one scalar per group — the wedge set never leaves the task
-            return int(fused.sum("cnt") or 0), None
-
-        # bucket_sum, not the sort-aggregate: per-vertex groups pay the
-        # ~7 ms/group Dataset-aggregate cost (NOTES.md)
-        from ..stages.join import bucket_sum
-
-        per_all = (
-            bucket_sum(fused, ["vertex"], ["cnt"], n_buckets=16)
-            .map_batches(
-                lambda df: pd.DataFrame(
-                    {
-                        "vertex": df["vertex"].astype("int64"),
-                        "triangles": df["cnt"].astype("int64"),
-                    }
-                ),
-                batch_format="pandas",
-            )
-            .materialize()
-        )
-        # every triangle contributes exactly 3 corner counts
-        total3 = per_all.sum("triangles") or 0
-        return int(total3) // 3, per_all
-
-    # shuffle path: wedges as rows, hash-join closure against edge keys
     def wedge_group(t: pa.Table) -> pa.Table:
         u = t["u"].to_numpy()
-        out_k, out_u = [], []
-        for uu in np.unique(u):
-            nbrs = np.sort(t["v"].to_numpy()[u == uu])
-            n = len(nbrs)
-            if n < 2:
-                continue
-            i, j = np.triu_indices(n, k=1)
-            out_k.append(nbrs[i] * _SHIFT + nbrs[j])
-            out_u.append(np.full(len(i), uu, dtype=np.int64))
-        if not out_k:
-            return pa.table({"k": pa.array([], pa.int64()), "w_u": pa.array([], pa.int64())})
-        return pa.table(
-            {"k": pa.array(np.concatenate(out_k)), "w_u": pa.array(np.concatenate(out_u))}
-        )
+        v = t["v"].to_numpy()
+        o = np.lexsort((v, u))
+        u, v = u[o], v[o]
+        row_starts = np.flatnonzero(np.diff(u)) + 1
+        i, j = _wedge_pairs(*_partners(np.concatenate([[0], row_starts, [len(u)]])))
+        return pa.table({"k": pa.array(v[i] * _SHIFT + v[j], pa.int64()), "w_u": pa.array(u[i], pa.int64())})
 
-    from ..stages.join import _BUCKET as _B, add_bucket as _ab
-
-    wedges = (
-        _ab(oriented, ["u"], n_buckets)
-        .groupby(_B)
-        .map_groups(wedge_group, batch_format="pyarrow")
-    )
+    wedges = bucket_map_groups(add_bucket(oriented, ["u"], n_buckets), n_buckets, wedge_group, "pyarrow")
     ek = oriented.map_batches(edge_keys, batch_format="pyarrow")
     matches = bucket_join(
         wedges, ek, left_on="k", right_on="k", n_buckets=n_buckets,
@@ -299,19 +286,8 @@ def triangle_count(
     def corners(t: pa.Table) -> pa.Table:
         k = t["k"].to_numpy().astype(np.int64)
         wu = t["w_u"].to_numpy().astype(np.int64)
-        v = k // _SHIFT
-        w = k % _SHIFT
-        return pa.table({"vertex": pa.array(np.concatenate([wu, v, w]))})
+        vs = np.concatenate([wu, k // _SHIFT, k % _SHIFT])
+        return pa.table({"vertex": pa.array(vs), "triangles": pa.array(np.ones(len(vs), np.int64))})
 
-    per = (
-        matches.map_batches(corners, batch_format="pyarrow")
-        .groupby("vertex")
-        .count()
-        .map_batches(
-            lambda t: pa.table(
-                {"vertex": t["vertex"], "triangles": t["count()"].cast(pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-    )
+    per = bucket_sum(matches.map_batches(corners, batch_format="pyarrow"), ["vertex"], ["triangles"], n_buckets)
     return int(total), per

@@ -225,9 +225,12 @@ def test_resolve_href_parity_matrix():
     ).map(lambda s: s.strip()),
 )
 def test_resolve_href_parity_fuzz(base, raw):
-    if not raw:
-        return
     assert H._resolve_href(base, raw) == H._resolve_href_slow(base, raw)
+
+
+def test_resolve_href_empty_matches_slow_path():
+    for base in BASES:
+        assert H._resolve_href(base, "") == H._resolve_href_slow(base, "")
 
 
 @settings(max_examples=200, deadline=None)

@@ -189,6 +189,51 @@ def test_simhash_pairs():
     assert pairs.get((0, 3), 99) <= 3  # one-word edit
 
 
+_SIMHASH_1CPU = """
+import sys
+import ray, ray.data as rd
+from ray.data import DataContext
+from distributed_graph_computing_platform_ray.stages.dedup import simhash_dedup
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+out = simhash_dedup(rd.read_parquet(sys.argv[1]), n_buckets=8).to_pandas()
+print("PAIRS", sorted(zip(out["a"].tolist(), out["b"].tolist(), out["hamming"].tolist())))
+ray.shutdown()
+"""
+
+
+def test_simhash_pairs_finish_on_one_cpu(tmp_path):
+    """simhash_dedup over a Parquet read must not need a second CPU:
+    at num_cpus=1 an actor pool's actor would hold the only CPU while
+    the read task feeding it waits. Run in a fresh process that owns a
+    1-CPU cluster; kill its process group if it has not finished in
+    time."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo, RAY_ADDRESS="local")
+    path = str(tmp_path / "docs.parquet")
+    _docs().to_parquet(path)
+    p = subprocess.Popen(
+        [sys.executable, "-c", _SIMHASH_1CPU, path], cwd=repo, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = p.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail("simhash_dedup did not finish within 240 s at num_cpus=1")
+    assert p.returncode == 0, err[-2000:]
+    want = simhash_dedup(rd.from_pandas(_docs()), n_buckets=8).to_pandas()
+    want = sorted(zip(want["a"].tolist(), want["b"].tolist(), want["hamming"].tolist()))
+    assert (0, 1, 0) in want
+    assert f"PAIRS {want}" in out
+
+
 def test_text_functions():
     assert lang_id("the cat is on the mat and it is warm")[0] == "en"
     assert lang_id("der hund ist nicht mit der katze und das ist gut")[0] == "de"

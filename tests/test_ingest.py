@@ -6,6 +6,7 @@ import os
 import shutil
 
 import numpy as np
+import pytest
 import pyarrow.dataset as pads
 import ray.data as rd
 
@@ -203,3 +204,34 @@ def test_csr_dedup_fusion_selfloops_and_dups_bit_identical():
                 degs[str(k)] = int(dg)
         assert degs["4"] == 4  # doubled self-loop + mutual (4,1) x2
         assert degs["3"] == 4  # (3,2),(3,1) + doubled self-loop
+
+
+@pytest.mark.parametrize("dict_limit", [None, 0])
+def test_int64_keys_build_like_string_keys(monkeypatch, dict_limit):
+    """An int64-keyed edge table builds the same graph as its
+    string-keyed twin, on the broadcast encode path and (with the
+    broadcast limit at 0) on the join encode path."""
+    import pandas as pd
+
+    from distributed_graph_computing_platform_ray.pipelines import ingest
+
+    if dict_limit is not None:
+        monkeypatch.setattr(ingest, "BROADCAST_DICT_LIMIT", dict_limit)
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 40, 120) * 1_000_003
+    dst = rng.integers(0, 40, 120) * 1_000_003
+    ints = pd.DataFrame({"src_key": src, "dst_key": dst})
+    strs = ints.astype(str)
+    mans = []
+    for name, df in (("int", ints), ("str", strs)):
+        out = f"{TMP}/keys_{name}_{dict_limit}"
+        shutil.rmtree(out, ignore_errors=True)
+        mans.append(build_graph(rd.from_pandas(df), out, n_parts=3, n_buckets=4))
+    a, b = mans
+    assert (a.n_vertices, a.n_edges_directed, a.part_size, a.keys_numeric) == (
+        b.n_vertices, b.n_edges_directed, b.part_size, b.keys_numeric
+    )
+    assert a.n_vertices == len(set(src) | set(dst))
+    ra = {int(r["part"]): (r["crc_indptr"], r["crc_indices"], r["n_edges"]) for r in a.parts}
+    rb = {int(r["part"]): (r["crc_indptr"], r["crc_indices"], r["n_edges"]) for r in b.parts}
+    assert ra == rb
