@@ -152,7 +152,7 @@ def scaling_job(tmp: str) -> dict:
         man = _ensure_scale_graph()
         eng = BSPEngine(man, f"{tmp}/scale_pr", keep_iters=2)
         t0 = time.time()
-        eng.run(PageRank(man.n_vertices, num_iters=SCALE_ITERS), checkpoint_interval=5, backend="core")
+        eng.run(PageRank(man.n_vertices, num_iters=SCALE_ITERS), checkpoint_interval=5)
         dt = time.time() - t0
         out["scale_pagerank"] = round(dt, 3)
         out["_scale_graph_edges"] = man.n_edges_directed

@@ -66,7 +66,6 @@ def main(argv=None):
     pr.add_argument("--iters", type=int)
     pr.add_argument("--resume", action="store_true")
     pr.add_argument("--out", help="write full (vertex,value) result parquet here")
-    pr.add_argument("--backend", default="core", choices=["core", "dataset"])
 
     args = p.parse_args(argv)
 
@@ -153,8 +152,7 @@ def main(argv=None):
                 params.pop("num_iters")  # runs to fixpoint
             res = run_algorithm(
                 args.graph, args.work, args.algo,
-                resume=args.resume, checkpoint_interval=5,
-                backend=args.backend, **params,
+                resume=args.resume, checkpoint_interval=5, **params,
             )
             if args.out:
                 res.write_parquet(args.out)

@@ -156,10 +156,9 @@ class PageRankDangling(PageRank):
     dangles); the per-iteration global scalar D runs on the engine's
     Pregel-style AGGREGATOR channel (Malewicz et al. 2010 §3.3):
     ``scatter_aggregate`` emits each partition's SUM-mergeable partial,
-    the exchange carries it alongside the messages (kind-2 rows /
-    chunk-attached floats), and ``apply`` receives the exact global sum
-    as ``global_agg`` — no extra synchronization, supersteps still
-    chain lazily."""
+    the exchange carries it alongside the messages (a float attached
+    to every message chunk), and ``apply`` receives the exact global
+    sum as ``global_agg`` — no extra synchronization."""
 
     wants_aggregate = True
 
@@ -202,7 +201,7 @@ class PersonalizedPageRank(PageRank):
     (whose teleport is always uniform, worker/pagerank.go:29); the
     per-vertex teleport needs the partition's dense ids, so this is
     the first consumer of the engine's opt-in ``wants_ids`` apply
-    extension (works identically on both backends).
+    extension (works identically on both executors).
     """
 
     wants_ids = True
@@ -271,7 +270,7 @@ class TrustRank(PersonalizedPageRank):
     flow — x <- (1-d)·1_{v∈S}/|S| + d·W^T_wdeg x over the weighted
     domain graph. A pure mixin of the two PageRank extensions: the
     engine sees ``wants_ids`` (seed teleport, inherited) plus
-    ``use_weighted_degrees`` (weighted scatter), so both backends work
+    ``use_weighted_degrees`` (weighted scatter), so both executors work
     unchanged."""
 
     use_weighted_degrees = True

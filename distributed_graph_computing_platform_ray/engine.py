@@ -1,46 +1,54 @@
-"""The BSP superstep engine: ONE message shuffle per superstep, many
-supersteps per Ray execution.
+"""The BSP superstep engine: scatter, one message exchange, apply.
 
 Reference control flow (SURVEY.md §3.1): a master broadcasts RUN each
 superstep, 7 workers run per-vertex Compute over their partition,
 exchange messages over an N x N TCP mesh, and ACK back
 (/root/reference/master/master.go:391-453, worker/worker.go:248-318) —
-with sleeps papering over an async flush race (§2.9). Here:
+with sleeps papering over an async flush race (§2.9). Here vertex ids
+are range-partitioned into P parts, and a superstep is:
 
-  scatter+carry: one map_batches over the unified state rows emits
-      the next superstep's messages (ALREADY combined per destination
-      within the block — a true combiner; the reference's "combiner"
-      only batches, never aggregates, worker/worker.go:397-421) AND
-      passes the state rows through,
-  gather+apply: groupby(destination partition) — the ONE all-to-all —
-      co-groups each partition's state with its inbox; a vectorized
-      kernel reduces (sum/min/vote) and applies the update.
+  scatter: per partition (or per edge slice of a hub-heavy partition),
+      expand the active vertices' CSR rows into messages, ALREADY
+      combined per destination (a true combiner; the reference's
+      "combiner" only batches, never aggregates,
+      worker/worker.go:397-421), split into one chunk per destination
+      partition (``_scatter_core``);
+  apply: per partition, reduce its P inbox chunks (sum/min/vote/or)
+      and apply the vectorized update (``_apply_core``).
 
-Supersteps CHAIN LAZILY: ``checkpoint_interval`` supersteps run inside
-a single Ray Data execution (the driver never round-trips between
-them), then the state materializes, convergence is read off the active
-counts, and a Parquet checkpoint is written. The shuffle is an exact
-barrier, so no timing races; messages are pre-combined per (block,
-dst), so a web-scale hub receives at most one message row per
-upstream block — the skew mitigation the north_rule asks for, without
-salting.
+Two executors run these same kernels, in the same order, with
+bit-identical results; ``BSPEngine.run`` picks one per run from the
+graph's size and records the choice in ``run.json``:
 
-Checkpoint/resume: ``state/iter=K`` dirs are immutable, completed by a
-``_DONE.json`` marker; ``resume=True`` restarts from the newest
-complete one (the reference restarts the whole job from superstep 0 on
-any failure, master/master.go:431-445 — this engine loses at most
+  local   graphs up to ``LOCAL_MAX_EDGES`` directed edges: each
+          checkpoint chunk of supersteps is ONE Ray task that loops
+          over all partitions in-process — the reference's own shape,
+          one loop per worker per superstep. Below the crossover the
+          2P tasks per superstep of the task executor cost more than
+          the kernels they run (McSherry et al., "Scalability! But at
+          what COST?", HotOS 2015).
+  tasks   bigger graphs: every superstep is P scatter tasks (more for
+          split hubs) with ``num_returns = P`` plus P apply tasks, so
+          the exchange is an exact barrier through the object store.
+
+Checkpoint/resume: ``state/iter=K`` dirs are immutable, one
+``part-NNNNN.parquet`` per partition, completed by a ``_DONE.json``
+marker ``BSPEngine.run`` writes; ``resume=True`` restarts from the
+newest complete one, whichever executor wrote it, and fails with
+``CheckpointError`` if that iter is missing a part or holds a short
+one (the reference restarts the whole job from superstep 0 on any
+failure, master/master.go:431-445 — this engine loses at most
 ``checkpoint_interval - 1`` supersteps).
 
-Scale: per-chunk driver traffic is one aggregate; state+combined
-messages shuffle through the object store (spill-backed); CSR shards
-are mmap'd per worker process (state/csr.py). At 10^12 vertices raise
-n_parts so each partition's state (~16 B/vertex) and CSR shard fit a
-worker heap.
+Scale: per chunk, ``run`` receives only P small stats; state and
+combined messages move through the object store (spill-backed); CSR
+shards are mmap'd per worker process (state/csr.py). At 10^12
+vertices raise n_parts so each partition's state (~16 B/vertex) and
+CSR shard fit a worker heap.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
@@ -48,39 +56,12 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import ray.data as rd
+import pyarrow.parquet as pq
 
 from .algorithms import Algorithm
-from .state.csr import load_shard, load_vertex_keys_numeric
+from .state.csr import load_shard, load_vertex_keys, load_vertex_keys_numeric
 from .state.manifest import GraphManifest
 from .utils import atomic_write_json, atomic_write_parquet
-
-# unified row schema flowing through a chained superstep:
-#   kind 0 = state row  (dst = vertex id, value, count = active 0/1)
-#   kind 1 = message    (dst, value, count = votes for 'vote' combine)
-_UNIFIED = pa.schema(
-    [
-        ("part", pa.int64()),
-        ("dst", pa.int64()),
-        ("value", pa.float64()),
-        ("count", pa.int64()),
-        ("kind", pa.int8()),
-    ]
-)
-
-_STATE = pa.schema([("id", pa.int64()), ("value", pa.float64()), ("active", pa.bool_())])
-
-
-def _unified_table(part, dst, value, count, kind) -> pa.Table:
-    return pa.table(
-        {
-            "part": pa.array(part, pa.int64()),
-            "dst": pa.array(dst, pa.int64()),
-            "value": pa.array(value, pa.float64()),
-            "count": pa.array(count, pa.int64()),
-            "kind": pa.array(kind, pa.int8()),
-        }
-    )
 
 
 def _combine_at(algo, superstep: int) -> str:
@@ -116,88 +97,6 @@ def _combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
         return d[starts], red, np.zeros(len(starts), dtype=np.int64)
     red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
     return d[starts], red(v, starts), np.zeros(len(starts), dtype=np.int64)
-
-
-def make_scatter_carry(manifest: GraphManifest, algo: Algorithm, superstep: int):
-    """Unified state rows -> same rows + combined outgoing messages.
-
-    Emitting state and messages from ONE map keeps the per-superstep
-    plan linear (no dataset fan-out, which would re-execute the chain).
-    """
-    part_size = manifest.part_size
-    combine = _combine_at(algo, superstep)
-
-    n_parts = manifest.n_parts
-    has_aggr = getattr(algo, "scatter_aggregate", None) is not None
-
-    def scatter(t: pa.Table) -> pa.Table:
-        ids = t["dst"].to_numpy()
-        values = t["value"].to_numpy()
-        active = t["count"].to_numpy() != 0
-        out = [t]
-        for p in np.unique(ids // part_size):
-            shard = load_shard(manifest, int(p))
-            if has_aggr:
-                # Pregel-style aggregator: SUM-mergeable partial over
-                # ALL of this block's rows of partition p (active or
-                # not), broadcast to every destination partition as
-                # kind-2 rows — the apply side sums them, so the
-                # global value is exact with zero extra synchronization
-                in_p = ids // part_size == p
-                loc_all = ids[in_p] - shard.lo
-                deg_all = (
-                    shard.indptr[loc_all + 1] - shard.indptr[loc_all]
-                ).astype(np.int64)
-                gp = float(
-                    algo.scatter_aggregate(
-                        ids[in_p], values[in_p], deg_all, superstep
-                    )
-                )
-                qs = np.arange(n_parts, dtype=np.int64)
-                out.append(
-                    _unified_table(
-                        qs,
-                        qs * part_size,
-                        np.full(n_parts, gp),
-                        np.zeros(n_parts, dtype=np.int64),
-                        np.full(n_parts, 2, dtype=np.int8),
-                    )
-                )
-            sel = ids // part_size == p
-            if not getattr(algo, "scatter_all", False):
-                sel = sel & active
-            if not sel.any():
-                continue
-            sel_ids = ids[sel]
-            local = sel_ids - shard.lo
-            if getattr(algo, "use_weighted_degrees", False):
-                degs = shard.weighted_degrees()[local]
-            else:
-                degs = (shard.indptr[local + 1] - shard.indptr[local]).astype(np.int64)
-            if getattr(algo, "wants_keys", False):
-                keys = load_vertex_keys_numeric(manifest, int(p))[local]
-                so = algo.message_base(sel_ids, values[sel], degs, superstep, keys=keys)
-            else:
-                so = algo.message_base(sel_ids, values[sel], degs, superstep)
-            row_per_edge, dst, w = shard.gather(local)
-            if len(dst) == 0:
-                continue
-            val = np.asarray(so.base, dtype=np.float64)[row_per_edge]
-            if so.add_edge_weight:
-                val = val + (w if w is not None else 1.0)
-            elif so.mul_edge_weight and w is not None:
-                val = val * w
-            elif so.max_edge_weight and w is not None:
-                val = np.maximum(val, w)
-            elif so.max_neg_edge_weight and w is not None:
-                val = np.maximum(val, -w)
-            d, v, c = _combine_block(combine, dst, val)
-            out.append(
-                _unified_table(d // part_size, d, v, c, np.ones(len(d), dtype=np.int8))
-            )
-        return pa.concat_tables(out) if len(out) > 1 else t
-
-    return scatter
 
 
 def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
@@ -244,67 +143,18 @@ def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
     return agg, has
 
 
-def make_apply(manifest: GraphManifest, algo: Algorithm, superstep: int):
-    """Group fn: one partition's state rows + inbox -> next state rows."""
-
-    def apply_group(t: pa.Table) -> pa.Table:
-        part = int(t["part"][0].as_py())
-        lo, hi = manifest.part_bounds(part)
-        n_local = hi - lo
-        kind = t["kind"].to_numpy()
-        dst = t["dst"].to_numpy()
-        val = t["value"].to_numpy()
-        cnt = t["count"].to_numpy()
-
-        st = kind == 0
-        mg = kind == 1
-        order = np.argsort(dst[st], kind="stable")
-        ids = dst[st][order]
-        old_values = val[st][order]
-        agg, has_msg = _reduce_messages(
-            _combine_at(algo, superstep), n_local, lo, dst[mg], val[mg], cnt[mg]
-        )
-        kw = {}
-        if getattr(algo, "wants_ids", False):
-            kw["ids"] = ids
-        if getattr(algo, "wants_keys", False):
-            kw["keys"] = load_vertex_keys_numeric(manifest, part)[ids - lo]
-        if getattr(algo, "wants_degrees", False):
-            # degree-normalized applies (random-walk operators): the
-            # vertex's own (multigraph, symmetrized) degree at update
-            kw["degrees"] = np.diff(load_shard(manifest, part).indptr)[ids - lo]
-        if getattr(algo, "wants_aggregate", False):
-            kw["global_agg"] = float(val[kind == 2].sum())
-        new_values, new_active, _changed = algo.apply(
-            old_values, agg, has_msg, superstep, **kw
-        )
-        return _unified_table(
-            np.full(n_local, part, dtype=np.int64),
-            ids,
-            np.asarray(new_values, dtype=np.float64),
-            new_active.astype(np.int64),
-            np.zeros(n_local, dtype=np.int8),
-        )
-
-    return apply_group
-
-
 # ---------------------------------------------------------------------------
-# core-exchange backend: the per-superstep shuffle as raw Ray tasks.
-#
-# WHY (measured, see BASELINE.md): the partition function here is pure
-# arithmetic (dst // part_size) over a KNOWN part count, but Dataset
-# groupby can only express it as a sort-based all-to-all — which ran a
-# serial sample/sort stage of ~30s per superstep at 22M message rows
-# and did not speed up 8->32 CPUs. Ray Data has no "partition by this
-# function" operator, so this is the documented drop-to-Ray-core case:
-# scatter tasks return one pre-combined message table PER DESTINATION
-# PARTITION (num_returns = n_parts), apply tasks consume exactly their
-# partition's chunks. Kernels (combine/reduce/apply) are byte-for-byte
-# the same functions the Dataset backend uses; results are identical
-# (tested). Partitioning assumption: contiguous id ranges, n_parts
-# fixed for the graph's lifetime; at P partitions a superstep creates
-# P^2 small objects — size P to O(cluster cores), not O(vertices).
+# The exchange. WHY not a Dataset groupby (measured, see BASELINE.md):
+# the partition function is pure arithmetic (dst // part_size) over a
+# KNOWN part count, but groupby can only express it as a sort-based
+# all-to-all — which ran a serial sample/sort stage of ~30s per
+# superstep at 22M message rows and did not speed up 8->32 CPUs. So
+# scatter returns one pre-combined message chunk PER DESTINATION
+# PARTITION and apply consumes exactly its partition's chunks.
+# Partitioning assumption: contiguous id ranges, n_parts fixed for the
+# graph's lifetime; at P partitions a superstep creates P^2 small
+# objects on the task executor — size P to O(cluster cores), not
+# O(vertices).
 
 
 # Hub/skew mitigation (the north_rule's "vertex splitting"): a
@@ -323,6 +173,16 @@ def make_apply(manifest: GraphManifest, algo: Algorithm, superstep: int):
 # worker for the whole superstep.
 SCATTER_SPLIT_EDGES = 8_000_000
 MAX_SCATTER_SLICES = 16
+
+# Executor crossover: a graph with at most this many directed edges
+# runs each checkpoint chunk as ONE Ray task (``_chunk_local``); above
+# it every superstep fans out as 2P tasks. Measured with PageRank-10
+# and LP-10 on perfbench/gen.py powerlaw graphs (4 parts, num_cpus=4):
+# at 100k edges the local loop was 27% faster on PR and 18% slower on
+# LP (level on the pair), at 146k LP took 1.4x as long, at 559k PR 1.7x
+# and LP 2.3x — so the limit is the largest size where local is no
+# slower, not the 1-CPU crossover, which lies above 559k.
+LOCAL_MAX_EDGES = 100_000
 
 
 def plan_scatter_slices(manifest, split_edges: int | None) -> list[int]:
@@ -448,7 +308,7 @@ def _apply_core(manifest, algo, superstep, ids, values, msg_chunks):
     """Reduce this partition's inbox chunks (dense and/or sparse) and
     apply the update. Dense chunks carry an exact received-a-message
     mask, so has_msg is exact for every combiner (a sum that cancels
-    to 0 still counts as a message — the backend contract)."""
+    to 0 still counts as a message — the engine contract)."""
     p = int(ids[0]) // manifest.part_size
     lo, hi = manifest.part_bounds(p)
     n_local = hi - lo
@@ -521,14 +381,87 @@ def _chunks_wire_rows(chunks) -> int:
     return rows
 
 
+class CheckpointError(RuntimeError):
+    """A checkpoint marked complete whose part file is missing, unreadable
+    or holds the wrong number of rows."""
+
+
+def _part_path(iter_dir: str, part: int) -> str:
+    return os.path.join(iter_dir, f"part-{part:05d}.parquet")
+
+
+def _write_part(man, iter_dir, part, values, active) -> None:
+    lo, hi = man.part_bounds(part)
+    atomic_write_parquet(
+        _part_path(iter_dir, part),
+        pa.table(
+            {
+                "id": pa.array(np.arange(lo, hi, dtype=np.int64)),
+                "value": pa.array(values, pa.float64()),
+                "active": pa.array(active, pa.bool_()),
+            }
+        ),
+    )
+
+
+def _part_state(man, algo, iter_dir, part):
+    """One partition's (values, active): ``algo.init`` written to
+    ``iter_dir`` when ``algo`` is given, else read back from it."""
+    if algo is not None:
+        lo, hi = man.part_bounds(part)
+        values, active = algo.init(
+            np.arange(lo, hi, dtype=np.int64),
+            man.n_vertices,
+            keys=load_vertex_keys(man, part),
+            keys_numeric=man.keys_numeric,
+        )
+        values = np.asarray(values, dtype=np.float64)
+        active = np.asarray(active, dtype=bool)
+        _write_part(man, iter_dir, part, values, active)
+        return values, active
+    t = pq.read_table(_part_path(iter_dir, part))
+    order = np.argsort(t["id"].to_numpy(), kind="stable")
+    return (
+        t["value"].to_numpy()[order].astype(np.float64),
+        t["active"].to_numpy(zero_copy_only=False)[order].astype(bool),
+    )
+
+
+def _chunk_local(man, algo, superstep, k_steps, slices, state, iter_dir):
+    """``k_steps`` supersteps over all P partitions in this process, then
+    the checkpoint of iter ``superstep + k_steps``. Scatter runs for every
+    (partition, slice) and apply for every partition in the task
+    executor's order, so the results are bit-identical to it. Returns the
+    new state (a list of P ``(values, active)``) and the chunk-final
+    superstep's per-partition ``(n_active, wire rows)``."""
+    P = man.n_parts
+    ids = [np.arange(*man.part_bounds(p), dtype=np.int64) for p in range(P)]
+    for s in range(superstep, superstep + k_steps):
+        outs = [
+            _scatter_core(man, algo, s, ids[p], *state[p], j, slices[p])
+            for p in range(P)
+            for j in range(slices[p])
+        ]
+        new, stats = [], []
+        for q in range(P):
+            chunks = [o[q] for o in outs]
+            nv, na = _apply_core(man, algo, s, ids[q], state[q][0], chunks)
+            new.append((nv, na))
+            stats.append((int(na.sum()), _chunks_wire_rows(chunks)))
+        state = new
+    for p, (values, active) in enumerate(state):
+        _write_part(man, iter_dir, p, values, active)
+    return state, stats
+
+
 def _core_tasks():
     """Lazily-defined Ray remote wrappers (module import must not
     require an initialized Ray)."""
     import ray
 
-    global _SCATTER_T, _APPLY_T, _LOAD_T, _CKPT_T
+    global _TASKS
     try:
-        return _SCATTER_T, _APPLY_T, _LOAD_T, _CKPT_T
+        return _TASKS
     except NameError:
         pass
 
@@ -555,58 +488,39 @@ def _core_tasks():
         return (nv, na), (int(na.sum()), _chunks_wire_rows(chunks))
 
     @ray.remote
-    def load_task(iter_dir, man, part):
-        import pyarrow.parquet as pq
-
-        path = os.path.join(iter_dir, f"part-{part:05d}.parquet")
-        if os.path.exists(path):
-            t = pq.read_table(path)
-        else:  # checkpoint written by the dataset backend: filter
-            import pyarrow.dataset as pads
-
-            lo, hi = man.part_bounds(part)
-            t = pads.dataset(iter_dir).to_table(
-                filter=(pads.field("id") >= lo) & (pads.field("id") < hi)
-            )
-        order = np.argsort(t["id"].to_numpy(), kind="stable")
-        return (
-            t["value"].to_numpy()[order].astype(np.float64),
-            t["active"].to_numpy(zero_copy_only=False)[order].astype(bool),
-        )
-
-    @ray.remote
     def ckpt_task(man, part, state, iter_dir):
-        values, active = state
-        lo, hi = man.part_bounds(part)
-        atomic_write_parquet(
-            os.path.join(iter_dir, f"part-{part:05d}.parquet"),
-            pa.table(
-                {
-                    "id": pa.array(np.arange(lo, hi, dtype=np.int64)),
-                    "value": pa.array(values, pa.float64()),
-                    "active": pa.array(active, pa.bool_()),
-                }
-            ),
-        )
+        _write_part(man, iter_dir, part, *state)
         return part
 
-    _SCATTER_T, _APPLY_T, _LOAD_T, _CKPT_T = scatter_task, apply_task, load_task, ckpt_task
-    return _SCATTER_T, _APPLY_T, _LOAD_T, _CKPT_T
+    @ray.remote(num_returns=2)
+    def state_task(man, algo, iter_dir, part):
+        """Init (``algo`` given) or load one partition's state, or with
+        ``part=None`` all P as a list; the second return is a small ack
+        ``run`` waits on before marking an init complete."""
+        if part is None:
+            return [_part_state(man, algo, iter_dir, p) for p in range(man.n_parts)], True
+        return _part_state(man, algo, iter_dir, part), True
+
+    chunk_task = ray.remote(num_returns=2)(_chunk_local)
+
+    _TASKS = scatter_task, apply_task, ckpt_task, state_task, chunk_task
+    return _TASKS
 
 
 class BSPEngine:
     """Driver-side superstep loop — the reference master's role
     (master/master.go:391-453) with the barrier provided by the
-    shuffle instead of ACK counting + sleeps.
+    exchange instead of ACK counting + sleeps.
 
-    Two execution backends with IDENTICAL kernels and results:
-      "dataset"  each superstep is a map_batches + groupby shuffle
-                 over a ray.data.Dataset — the canonical Ray-Data
-                 expression (good when supersteps are few or fused
-                 with other Dataset stages)
-      "core"     the exchange runs as raw Ray tasks with per-partition
-                 returns (see _scatter_core) — the measured-fast path
-                 for iteration-heavy jobs (default)
+    Per run it picks one of two executors with IDENTICAL kernels and
+    bit-identical results (see the module docstring):
+      "local"  ``n_edges_directed <= LOCAL_MAX_EDGES``: one Ray task per
+               checkpoint chunk runs every partition's supersteps and
+               writes the chunk's checkpoint files
+      "tasks"  bigger graphs: 2P Ray tasks per superstep, P checkpoint
+               writers per chunk
+    ``run`` itself keeps the rest for both: ``_DONE.json`` markers,
+    ``keep_iters`` pruning, convergence, history and ``run.json``.
     """
 
     def __init__(self, manifest: GraphManifest, work_dir: str, keep_iters: int | None = None):
@@ -628,87 +542,26 @@ class BSPEngine:
                 out.append(int(m.group(1)))
         return sorted(out)
 
-    # ------------------------------------------------------------------
-    def _init_state(self, algo: Algorithm) -> None:
+    def _check_checkpoint(self, k: int) -> None:
+        """Every part file of iter ``k`` exists, reads as Parquet, and
+        holds one row per vertex of its partition — else CheckpointError."""
         man = self.manifest
-        d0 = self.iter_dir(0)
-        os.makedirs(d0, exist_ok=True)
-
-        def init_part(t: pa.Table) -> pa.Table:
-            from .state.csr import load_vertex_keys
-
-            outs = []
-            for p in t["id"].to_numpy():  # rd.range column is "id"
-                p = int(p)
-                lo, hi = man.part_bounds(p)
-                ids = np.arange(lo, hi, dtype=np.int64)
-                keys = load_vertex_keys(man, p)
-                values, active = algo.init(
-                    ids, man.n_vertices, keys=keys, keys_numeric=man.keys_numeric
+        for p in range(man.n_parts):
+            path = _part_path(self.iter_dir(k), p)
+            try:
+                rows = pq.ParquetFile(path).metadata.num_rows
+            except (OSError, pa.ArrowException) as e:
+                raise CheckpointError(f"checkpoint part {path} is unreadable: {e}") from e
+            if rows != man.part_n_local(p):
+                raise CheckpointError(
+                    f"checkpoint part {path} holds {rows} rows, expected {man.part_n_local(p)}"
                 )
-                tab = pa.table(
-                    {
-                        "id": pa.array(ids),
-                        "value": pa.array(np.asarray(values, dtype=np.float64)),
-                        "active": pa.array(np.asarray(active, dtype=bool)),
-                    }
-                )
-                atomic_write_parquet(os.path.join(d0, f"part-{p:05d}.parquet"), tab)
-                outs.append(p)
-            return pa.table({"part": pa.array(outs, pa.int64())})
 
-        rd.range(man.n_parts).map_batches(init_part, batch_format="pyarrow").take_all()
-        atomic_write_json(
-            os.path.join(d0, "_DONE.json"),
-            {"superstep": -1, "algo": algo.name, "n_active": int(man.n_vertices)},
-        )
-
-    def _load_state(self, k: int) -> rd.Dataset:
-        part_size = self.manifest.part_size
-
-        def to_unified(t: pa.Table) -> pa.Table:
-            ids = t["id"].to_numpy()
-            return _unified_table(
-                ids // part_size,
-                ids,
-                t["value"].to_numpy(),
-                t["active"].to_numpy().astype(np.int64),
-                np.zeros(len(ids), dtype=np.int8),
-            )
-
-        return rd.read_parquet(self.iter_dir(k)).map_batches(to_unified, batch_format="pyarrow")
-
-    def _checkpoint(self, state: rd.Dataset, k: int, algo: Algorithm, n_active: int) -> None:
-        d = self.iter_dir(k)
-        shutil.rmtree(d, ignore_errors=True)
-
-        def to_state(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "id": t["dst"],
-                    "value": t["value"],
-                    "active": pa.array(t["count"].to_numpy() != 0),
-                },
-                schema=_STATE,
-            )
-
-        state.map_batches(to_state, batch_format="pyarrow").write_parquet(d)
-        atomic_write_json(
-            os.path.join(d, "_DONE.json"),
-            {"superstep": k - 1, "algo": algo.name, "n_active": int(n_active)},
-        )
-        if self.keep_iters is not None:
-            for old in self._complete_iters():
-                if 0 < old <= k - self.keep_iters:
-                    shutil.rmtree(self.iter_dir(old), ignore_errors=True)
-
-    # ------------------------------------------------------------------
     def run(
         self,
         algo: Algorithm,
         resume: bool = False,
         checkpoint_interval: int = 1,
-        backend: str = "core",
         scatter_split_edges: int | None = None,
     ) -> int:
         """Run to termination; returns the final iteration index.
@@ -718,84 +571,41 @@ class BSPEngine:
         boundaries — sound because a converged state is a fixpoint
         (extra supersteps emit no messages and change nothing).
         ``resume=True`` continues from the newest complete checkpoint.
-        ``scatter_split_edges`` (core backend) is the per-scatter-task
-        edge cap for hub splitting — None uses SCATTER_SPLIT_EDGES,
-        0 disables splitting.
+        ``scatter_split_edges`` is the per-scatter edge cap for hub
+        splitting — None uses SCATTER_SPLIT_EDGES, 0 disables splitting.
         """
-        if backend == "core":
-            return self._run_core(algo, resume, checkpoint_interval, scatter_split_edges)
-        done = self._complete_iters() if resume else []
-        if done:
-            s = done[-1]
-        else:
-            if os.path.isdir(self.state_root):
-                shutil.rmtree(self.state_root)
-            self._init_state(algo)
-            s = 0
-
-        state = self._load_state(s)
-        max_s = algo.max_supersteps()
-        history = []
-        while True:
-            if max_s is not None and s >= max_s:
-                break
-            t_chunk = time.time()
-            k_steps = checkpoint_interval
-            if max_s is not None:
-                k_steps = min(k_steps, max_s - s)
-            for i in range(k_steps):
-                state = (
-                    state.map_batches(
-                        make_scatter_carry(self.manifest, algo, s + i),
-                        batch_format="pyarrow",
-                        zero_copy_batch=True,
-                    )
-                    .groupby("part")
-                    .map_groups(make_apply(self.manifest, algo, s + i), batch_format="pyarrow")
-                )
-            state = state.materialize()
-            s += k_steps
-            n_active = int(state.sum("count") or 0)
-            self._checkpoint(state, s, algo, n_active)
-            history.append(
-                {"superstep": s, "n_active": n_active,
-                 "sec": round(time.time() - t_chunk, 3)}
-            )
-            if algo.halt_on_no_change() and n_active == 0:
-                break
-        atomic_write_json(
-            os.path.join(self.work_dir, "run.json"),
-            {"algo": algo.name, "final_iter": s, "history": history[-50:]},
-        )
-        return s
-
-    # ------------------------------------------------------------------
-    def _run_core(
-        self,
-        algo: Algorithm,
-        resume: bool,
-        checkpoint_interval: int,
-        scatter_split_edges: int | None = None,
-    ) -> int:
         import ray
 
-        scatter_t, apply_t, load_t, ckpt_t = _core_tasks()
+        _scatter_t, _apply_t, _ckpt_t, state_t, chunk_t = _core_tasks()
         man = self.manifest
         P = man.n_parts
         slices = plan_scatter_slices(man, scatter_split_edges)
+        local = man.n_edges_directed <= LOCAL_MAX_EDGES
 
         done = self._complete_iters() if resume else []
         if done:
             s = done[-1]
+            self._check_checkpoint(s)
         else:
             if os.path.isdir(self.state_root):
                 shutil.rmtree(self.state_root)
-            self._init_state(algo)
+            os.makedirs(self.iter_dir(0))
             s = 0
 
         man_ref = ray.put(man)
         algo_ref = ray.put(algo)
-        state_refs = [load_t.remote(self.iter_dir(s), man_ref, p) for p in range(P)]
+        # local: one ref holding all P (values, active); tasks: P refs
+        pending = [
+            state_t.remote(man_ref, None if done else algo_ref, self.iter_dir(s), p)
+            for p in ([None] if local else range(P))
+        ]
+        state_refs = [st for st, _ack in pending]
+        if not done:
+            ray.get([ack for _st, ack in pending])
+            atomic_write_json(
+                os.path.join(self.iter_dir(0), "_DONE.json"),
+                {"superstep": -1, "algo": algo.name, "n_active": int(man.n_vertices)},
+            )
 
         max_s = algo.max_supersteps()
         history = []
@@ -806,33 +616,23 @@ class BSPEngine:
             k_steps = checkpoint_interval
             if max_s is not None:
                 k_steps = min(k_steps, max_s - s)
-            nact_refs = []
-            for i in range(k_steps):
-                outs = []
-                for p in range(P):
-                    for j in range(slices[p]):
-                        o = scatter_t.options(num_returns=P).remote(
-                            man_ref, algo_ref, s + i, p, state_refs[p], j, slices[p]
-                        )
-                        outs.append([o] if P == 1 else o)
-                new_refs, nact_refs = [], []
-                for q in range(P):
-                    chunks = [outs[t][q] for t in range(len(outs))]
-                    sref, aref = apply_t.remote(
-                        man_ref, algo_ref, s + i, q, state_refs[q], *chunks
-                    )
-                    new_refs.append(sref)
-                    nact_refs.append(aref)
-                state_refs = new_refs
+            d = self.iter_dir(s + k_steps)
+            shutil.rmtree(d, ignore_errors=True)
+            os.makedirs(d)
+            if local:
+                st, stats_ref = chunk_t.remote(
+                    man_ref, algo_ref, s, k_steps, slices, state_refs[0], d
+                )
+                state_refs = [st]
+                stats = ray.get(stats_ref)
+            else:
+                state_refs, stats = self._chunk_tasks(
+                    man_ref, algo_ref, s, k_steps, slices, state_refs, d
+                )
             s += k_steps
-            stats = ray.get(nact_refs)
             nact = [int(a) for a, _m in stats]
             msg_rows = int(sum(m for _a, m in stats))
             n_active = int(sum(nact))
-            d = self.iter_dir(s)
-            shutil.rmtree(d, ignore_errors=True)
-            os.makedirs(d, exist_ok=True)
-            ray.get([ckpt_t.remote(man_ref, p, state_refs[p], d) for p in range(P)])
             atomic_write_json(
                 os.path.join(d, "_DONE.json"),
                 {"superstep": s - 1, "algo": algo.name, "n_active": n_active},
@@ -858,10 +658,40 @@ class BSPEngine:
                 "algo": algo.name,
                 "final_iter": s,
                 "history": history[-50:],
-                "backend": "core",
-                # hub-splitting lineage: scatter tasks per partition
+                "executor": "local" if local else "tasks",
+                "local_max_edges": LOCAL_MAX_EDGES,
+                # hub-splitting lineage: scatter calls per partition
                 # (recorded only when any partition actually split)
                 "scatter_slices": slices if max(slices) > 1 else None,
             },
         )
         return s
+
+    def _chunk_tasks(self, man_ref, algo_ref, s, k_steps, slices, state_refs, d):
+        """The task executor's chunk: 2P tasks per superstep, then P
+        checkpoint writers into ``d`` once the chunk-final stats are in.
+        Returns the new state refs and the per-partition stats."""
+        import ray
+
+        scatter_t, apply_t, ckpt_t, _state_t, _chunk_t = _core_tasks()
+        P = self.manifest.n_parts
+        for i in range(k_steps):
+            outs = []
+            for p in range(P):
+                for j in range(slices[p]):
+                    o = scatter_t.options(num_returns=P).remote(
+                        man_ref, algo_ref, s + i, p, state_refs[p], j, slices[p]
+                    )
+                    outs.append([o] if P == 1 else o)
+            new_refs, stat_refs = [], []
+            for q in range(P):
+                chunks = [outs[t][q] for t in range(len(outs))]
+                sref, aref = apply_t.remote(
+                    man_ref, algo_ref, s + i, q, state_refs[q], *chunks
+                )
+                new_refs.append(sref)
+                stat_refs.append(aref)
+            state_refs = new_refs
+        stats = ray.get(stat_refs)
+        ray.get([ckpt_t.remote(man_ref, p, state_refs[p], d) for p in range(P)])
+        return state_refs, stats

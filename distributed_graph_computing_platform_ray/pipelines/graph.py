@@ -31,7 +31,6 @@ def run_algorithm(
     resume: bool = False,
     keep_iters: int | None = None,
     checkpoint_interval: int = 5,
-    backend: str = "core",
     **params,
 ) -> rd.Dataset:
     """Run to termination; return Dataset[(vertex: str, value: float64)]."""
@@ -41,9 +40,7 @@ def run_algorithm(
             params["n_vertices"] = manifest.n_vertices
         algo = make_algorithm(algo, **params)
     engine = BSPEngine(manifest, work_dir, keep_iters=keep_iters)
-    final = engine.run(
-        algo, resume=resume, checkpoint_interval=checkpoint_interval, backend=backend
-    )
+    final = engine.run(algo, resume=resume, checkpoint_interval=checkpoint_interval)
     return result_dataset(manifest, engine.iter_dir(final))
 
 

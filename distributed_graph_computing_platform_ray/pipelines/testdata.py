@@ -4438,14 +4438,22 @@ def q_corpus_curation(
 
 
 def q_doc_classify(sf_dir: str):
-    """Batched 'model inference' over documents: actor-pool stage,
-    deterministic hashed-bag-of-words integer classifier (see
-    stages/classify.py) — the plumbing of a real quality/toxicity
-    classifier with a hash-exact SQL oracle."""
+    """Batched 'model inference' over documents: deterministic
+    hashed-bag-of-words integer classifier (see stages/classify.py) —
+    the plumbing of a real quality/toxicity classifier with a
+    hash-exact SQL oracle. Its state is three small fields, so it runs
+    as a plain task built once per worker: an actor pool's actor would
+    hold the only CPU of a 1-CPU cluster while the read feeding it
+    waits."""
     from ..stages.classify import HashClassifier
 
+    def classify_batch(t: pa.Table) -> pa.Table:
+        from ..stages.taskify import worker_cached
+
+        return worker_cached(("hash_classifier", ()), HashClassifier)(t)
+
     return _table(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        HashClassifier, batch_format="pyarrow", concurrency=(1, 8), batch_size=256
+        classify_batch, batch_format="pyarrow", batch_size=256
     )
 
 
@@ -11726,7 +11734,7 @@ def q_pagerank_topic(sf_dir: str, n: int = 2000, lang: str = "de", top: int = 50
     come from a DISTRIBUTED filter of the graph's vertices files
     against the deterministic lang column (no url ships except the
     ~1/8 seed sliver); the run itself is the engine's personalized-
-    PageRank (wants_ids teleport, both backends). Top-|top| urls by
+    PageRank (wants_ids teleport, both executors). Top-|top| urls by
     e8 score. n PINNED to the fixed oracle's 2000."""
     import shutil
 

@@ -1,11 +1,11 @@
 """Batched document classification — the model-inference stage shape.
 
 A real training-data pipeline runs batched model inference (quality
-classifiers, toxicity filters, language models) as an ACTOR-POOL
-map_batches stage: weights load once per actor in ``__init__``, every
-``__call__`` scores one Arrow batch vectorized. The classifier here is
-a deterministic integer stand-in for such a model — hashed
-bag-of-words features against signed hash-derived weights:
+classifiers, toxicity filters, language models) as a map_batches
+stage: weights load once in ``__init__``, every ``__call__`` scores one
+Arrow batch vectorized. The classifier here is a deterministic integer
+stand-in for such a model — hashed bag-of-words features against
+signed hash-derived weights:
 
     score(doc, c) = sum over token occurrences of
                     (splitmix64(fnv1a64(token) XOR c) % 1001) - 500
@@ -13,9 +13,12 @@ bag-of-words features against signed hash-derived weights:
 
 so the whole "inference" is exactly reproducible in SQL (FNV +
 splitmix replayed in the oracle) while exercising the same plumbing a
-real model needs: per-actor setup, vectorized batch scoring, bounded
-batch sizes. Swap ``_weights`` for a real model's forward pass and
-nothing else changes.
+real model needs: one-time setup, vectorized batch scoring, bounded
+batch sizes. Its state is three small fields, so callers build it once
+per worker process with ``stages/taskify.py::worker_cached`` inside a
+plain task; a real model with heavy weights would move to an actor
+pool. Swap ``_weights`` for a real model's forward pass and nothing
+else changes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..utils import splitmix64
 
 
 class HashClassifier:
-    """Callable class for ``map_batches(HashClassifier, concurrency=N)``."""
+    """Batch scorer: ``HashClassifier()(table)`` -> (doc_id, label, score)."""
 
     def __init__(
         self,
@@ -39,7 +42,7 @@ class HashClassifier:
         keep_cols: tuple = (),
     ):
         # "model load": for a real model this is the expensive part,
-        # paid once per actor — not per batch
+        # paid once per worker process — not per batch
         self.n_classes = n_classes
         self.id_col = id_col
         self.text_col = text_col

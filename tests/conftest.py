@@ -28,3 +28,19 @@ def ray_session():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+# engine.LOCAL_MAX_EDGES values that force each BSP executor
+EXECUTORS = {"local": 1 << 62, "tasks": -1}
+
+
+@pytest.fixture
+def use_executor(monkeypatch):
+    """``use_executor("local" | "tasks")`` forces the BSP engine's
+    executor for every run after it in the test."""
+    from distributed_graph_computing_platform_ray import engine
+
+    def use(name: str) -> None:
+        monkeypatch.setattr(engine, "LOCAL_MAX_EDGES", EXECUTORS[name])
+
+    return use

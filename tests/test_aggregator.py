@@ -1,6 +1,6 @@
-"""Pregel-style aggregator channel (engine kind-2 rows / chunk-attached
-partials): PageRankDangling must match the dense numpy recurrence on a
-directed graph with dangling vertices, identically on both backends."""
+"""Pregel-style aggregator channel (engine chunk-attached partials):
+PageRankDangling must match the dense numpy recurrence on a directed
+graph with dangling vertices, identically on both executors."""
 
 import os
 import shutil
@@ -11,7 +11,6 @@ import pytest
 from distributed_graph_computing_platform_ray.pipelines.graph import lookup_vertex_id, run_algorithm
 from distributed_graph_computing_platform_ray.pipelines.ingest import build_graph
 from distributed_graph_computing_platform_ray.sources.edge_list import read_edge_list
-from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
 
 TMP = "/tmp/graft_tests/aggregator"
 
@@ -50,12 +49,10 @@ def _numpy_oracle(num_iters=30, damping=0.85):
     return x
 
 
-@pytest.mark.parametrize("backend", ["core", "dataset"])
-def test_pagerank_dangling_matches_numpy(gdir, backend):
-    man = GraphManifest.load(gdir)
-    res = run_algorithm(
-        gdir, f"{TMP}/run_{backend}", "pagerank_dangling", backend=backend
-    ).to_pandas()
+@pytest.mark.parametrize("executor", ["tasks", "local"])
+def test_pagerank_dangling_matches_numpy(gdir, executor, use_executor):
+    use_executor(executor)
+    res = run_algorithm(gdir, f"{TMP}/run_{executor}", "pagerank_dangling").to_pandas()
     got = dict(zip(res["vertex"].astype(int), res["value"]))
     exp = _numpy_oracle()
     assert len(got) == 5

@@ -16,6 +16,8 @@ import shutil
 import subprocess
 import sys
 
+from . import oracle
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TMP = "/tmp/graft_tests/cli"
 
@@ -48,19 +50,21 @@ def test_cli_ingest_and_run_pagerank(fixtures_dir):
     assert os.path.exists(f"{TMP}/out")
 
 
-def test_cli_run_dataset_backend_same_top25(fixtures_dir):
-    """--backend dataset must actually run (and agree with core)."""
-    r_core = _run("run", "--graph", f"{TMP}/graph", "--work", f"{TMP}/pr_core",
-                  "--algo", "pagerank", "--iters", "5", "--backend", "core")
-    r_ds = _run("run", "--graph", f"{TMP}/graph", "--work", f"{TMP}/pr_ds",
-                "--algo", "pagerank", "--iters", "5", "--backend", "dataset")
-    assert r_core.returncode == 0, r_core.stderr[-2000:]
-    assert r_ds.returncode == 0, r_ds.stderr[-2000:]
-
-    def report(out: str) -> list[str]:
-        return [ln for ln in out.splitlines() if "\t" in ln]
-
-    assert report(r_core.stdout) == report(r_ds.stdout)
+def test_cli_run_top25_matches_oracle(fixtures_dir):
+    """The CLI's top-25 report equals the 25 highest scores of
+    tests/oracle.py::pagerank, in order."""
+    r = _run("run", "--graph", f"{TMP}/graph", "--work", f"{TMP}/pr5",
+             "--algo", "pagerank", "--iters", "5")
+    assert r.returncode == 0, r.stderr[-2000:]
+    got = [ln.split("\t") for ln in r.stdout.splitlines() if "\t" in ln]
+    exp = oracle.pagerank(
+        oracle.parse_edge_file(os.path.join(fixtures_dir, "graph_small.txt")), num_iters=5
+    )
+    want = sorted(exp.items(), key=lambda kv: (-kv[1], str(kv[0])))[:25]
+    assert len(got) == len(want)
+    for (v, x), (wv, wx) in zip(got, want):
+        assert abs(float(x) - wx) < 1e-9, (v, x, wv, wx)
+        assert abs(exp[int(v)] - wx) < 1e-9, (v, wv)  # ties may swap order
 
 
 def test_cli_extract_resumable(tmp_path):

@@ -1,7 +1,7 @@
 """Jones-Plassmann greedy coloring (algorithms.GreedyColoring): the
 parallel rounds must reproduce SEQUENTIAL greedy coloring in priority
 order exactly (same per-round priorities), the coloring must be proper,
-and both engine backends must agree — this also exercises the engine's
+and both engine executors must agree — this also exercises the engine's
 per-superstep combiner extension (min phase / bitwise-OR phase)."""
 
 import shutil
@@ -61,7 +61,7 @@ def oracle_jp(edges, seed):
     return color
 
 
-def test_coloring_matches_sequential_greedy_both_backends():
+def test_coloring_matches_sequential_greedy_both_backends(use_executor):
     ds = rd.from_items(
         [{"src_key": str(u), "dst_key": str(v)} for u, v in EDGES]
         + [{"src_key": str(v), "dst_key": str(u)} for u, v in EDGES]
@@ -76,12 +76,12 @@ def test_coloring_matches_sequential_greedy_both_backends():
     for u, v in EDGES:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    for backend in ("core", "dataset"):
-        eng = BSPEngine(man, f"{TMP}/run_{backend}")
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        eng = BSPEngine(man, f"{TMP}/run_{executor}")
         final = eng.run(
             make_algorithm("coloring", seed=SEED),
             checkpoint_interval=3,
-            backend=backend,
         )
         res = result_dataset(man, eng.iter_dir(final)).to_pandas()
         got = {
@@ -90,7 +90,7 @@ def test_coloring_matches_sequential_greedy_both_backends():
         }
         assert set(got) == set(range(len(exp)))
         for v, c in got.items():
-            assert c == exp[v], (backend, v, c, exp[v])
+            assert c == exp[v], (executor, v, c, exp[v])
         for u, nbrs in adj.items():  # proper coloring
             for w in nbrs:
-                assert got[u] != got[w], (backend, u, w)
+                assert got[u] != got[w], (executor, u, w)

@@ -42,7 +42,7 @@ class MaxValue(Algorithm):
         return new, changed.copy(), changed
 
 
-def test_custom_algorithm_runs_on_engine():
+def test_custom_algorithm_runs_on_engine(use_executor):
     edges = [(1, 2), (2, 3), (7, 9), (9, 42)]
     ds = rd.from_items([{"src_key": str(u), "dst_key": str(v)} for u, v in edges])
     gdir = f"{TMP}/graph"
@@ -50,9 +50,10 @@ def test_custom_algorithm_runs_on_engine():
     build_graph(ds, gdir, n_parts=2, n_buckets=4, dedup=False)
     man = GraphManifest.load(gdir)
 
-    for backend in ("core", "dataset"):
-        eng = BSPEngine(man, f"{TMP}/run_{backend}")
-        final = eng.run(MaxValue(), checkpoint_interval=2, backend=backend)
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        eng = BSPEngine(man, f"{TMP}/run_{executor}")
+        final = eng.run(MaxValue(), checkpoint_interval=2)
         res = result_dataset(man, eng.iter_dir(final)).to_pandas()
         got = {int(v): -x for v, x in zip(res["vertex"], res["value"])}
         assert got == {1: 3, 2: 3, 3: 3, 7: 42, 9: 42, 42: 42}

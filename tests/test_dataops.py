@@ -164,6 +164,62 @@ def test_hash_classifier_deterministic_and_exact():
     assert out["score"].to_pylist() == [score[best]]
 
 
+_CLASSIFY_1CPU = """
+import sys
+import ray
+from ray.data import DataContext
+from distributed_graph_computing_platform_ray.pipelines.testdata import q_doc_classify
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+out = q_doc_classify(sys.argv[1]).to_pandas()
+print("LABELS", sorted(zip(out["doc_id"].tolist(), out["label"].tolist(), out["score"].tolist())))
+ray.shutdown()
+"""
+
+
+def test_doc_classify_finishes_on_one_cpu(tmp_path):
+    """q_doc_classify over a Parquet read must not need a second CPU:
+    at num_cpus=1 an actor pool's actor would hold the only CPU while
+    the read task feeding it waits. Run in a fresh process that owns a
+    1-CPU cluster; kill its process group if it has not finished in
+    time."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pytest
+
+    from distributed_graph_computing_platform_ray.stages.classify import HashClassifier
+
+    docs = pa.table(
+        {
+            "doc_id": pa.array(range(600), pa.int64()),
+            "text": [f"doc {i} words {i % 7} alpha beta {i % 13}" for i in range(600)],
+        }
+    )
+    import pyarrow.parquet as pq
+
+    pq.write_table(docs, str(tmp_path / "documents.parquet"))
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo, RAY_ADDRESS="local")
+    p = subprocess.Popen(
+        [sys.executable, "-c", _CLASSIFY_1CPU, str(tmp_path)], cwd=repo, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = p.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail("q_doc_classify did not finish within 240 s at num_cpus=1")
+    assert p.returncode == 0, err[-2000:]
+    want = HashClassifier()(docs)
+    want = sorted(zip(want["doc_id"].to_pylist(), want["label"].to_pylist(), want["score"].to_pylist()))
+    assert len(want) == 600
+    assert f"LABELS {want}" in out
+
+
 def test_partitioned_sink_resumes_skipping_done():
     import json, os, shutil
 

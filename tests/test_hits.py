@@ -1,7 +1,7 @@
 """HITS hubs/authorities: the doubled-bipartite-graph sum propagation
 (algorithms.SumPropagation) must reproduce the textbook simultaneous
 power iteration h <- A·a, a <- Aᵀ·h exactly (iterates are integers, so
-equality is exact, not allclose). Both engine backends."""
+equality is exact, not allclose). Both engine executors."""
 
 import shutil
 
@@ -34,7 +34,7 @@ def numpy_hits(edges, iters):
     return h, a
 
 
-def test_hits_sumprop_matches_numpy_both_backends():
+def test_hits_sumprop_matches_numpy_both_backends(use_executor):
     doubled = [(2 * u, 2 * v + 1) for u, v in EDGES] + [
         (2 * v + 1, 2 * u) for u, v in EDGES
     ]
@@ -45,18 +45,18 @@ def test_hits_sumprop_matches_numpy_both_backends():
     man = GraphManifest.load(gdir)
 
     h, a = numpy_hits(EDGES, ITERS)
-    for backend in ("core", "dataset"):
-        eng = BSPEngine(man, f"{TMP}/run_{backend}")
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        eng = BSPEngine(man, f"{TMP}/run_{executor}")
         final = eng.run(
             make_algorithm("sumprop", num_iters=ITERS),
             checkpoint_interval=2,
-            backend=backend,
         )
         res = result_dataset(man, eng.iter_dir(final)).to_pandas()
         got = {int(v): x for v, x in zip(res["vertex"], res["value"])}
         for dv, val in got.items():
             orig, is_auth = dv // 2, dv % 2 == 1
-            assert (a[orig] if is_auth else h[orig]) == val, (backend, dv, val)
+            assert (a[orig] if is_auth else h[orig]) == val, (executor, dv, val)
         # every vertex with out-edges has a hub node; with in-edges an auth node
         assert {d for d in got if d % 2 == 0} == {2 * u for u, _ in EDGES}
         assert {d for d in got if d % 2 == 1} == {2 * v + 1 for _, v in EDGES}

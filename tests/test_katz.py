@@ -1,7 +1,7 @@
 """Katz centrality (algorithms.KatzPropagation): the 8^T-scaled
 integer recursion S_k = 8^k + A^T S_{k-1} must reproduce the textbook
 walk-count expansion sum_k walks_k * 8^(T-k) exactly (iterates are
-integers, so equality is exact). Both engine backends."""
+integers, so equality is exact). Both engine executors."""
 
 import shutil
 
@@ -34,7 +34,7 @@ def numpy_katz(edges, iters):
     return s
 
 
-def test_katz_matches_walk_expansion_both_backends():
+def test_katz_matches_walk_expansion_both_backends(use_executor):
     ds = rd.from_items([{"src_key": str(u), "dst_key": str(v)} for u, v in EDGES])
     gdir = f"{TMP}/graph"
     shutil.rmtree(TMP, ignore_errors=True)
@@ -42,15 +42,15 @@ def test_katz_matches_walk_expansion_both_backends():
     man = GraphManifest.load(gdir)
 
     exp = numpy_katz(EDGES, ITERS)
-    for backend in ("core", "dataset"):
-        eng = BSPEngine(man, f"{TMP}/run_{backend}")
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        eng = BSPEngine(man, f"{TMP}/run_{executor}")
         final = eng.run(
             make_algorithm("katz", num_iters=ITERS),
             checkpoint_interval=2,
-            backend=backend,
         )
         res = result_dataset(man, eng.iter_dir(final)).to_pandas()
         got = {int(v): x for v, x in zip(res["vertex"], res["value"])}
         assert set(got) == set(range(len(exp)))
         for v, val in got.items():
-            assert val == exp[v], (backend, v, val, exp[v])
+            assert val == exp[v], (executor, v, val, exp[v])

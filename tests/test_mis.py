@@ -1,7 +1,7 @@
 """Luby maximal independent set: the engine's two-phase rounds
 (algorithms.MaximalIndependentSet) must reproduce an independent
 set-based Python implementation of Luby 1986 exactly, and the result
-must be a correct MIS (independent + maximal). Both engine backends."""
+must be a correct MIS (independent + maximal). Both engine executors."""
 
 import shutil
 from collections import defaultdict
@@ -63,7 +63,7 @@ def _check(edges, mis):
         assert nbrs & mis, f"not maximal: {v} has no MIS neighbor"
 
 
-def test_mis_matches_luby_oracle_both_backends():
+def test_mis_matches_luby_oracle_both_backends(use_executor):
     # ring + chords + a star hub + an isolated edge: mixes degrees
     edges = [(i, (i + 1) % 20) for i in range(20)]
     edges += [(0, 10), (3, 13), (5, 17), (2, 8)]
@@ -80,16 +80,16 @@ def test_mis_matches_luby_oracle_both_backends():
     build_graph(ds, gdir, n_parts=2, n_buckets=4, dedup=False)
     man = GraphManifest.load(gdir)
 
-    for backend in ("core", "dataset"):
-        eng = BSPEngine(man, f"{TMP}/run_{backend}")
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        eng = BSPEngine(man, f"{TMP}/run_{executor}")
         final = eng.run(
             make_algorithm("mis", seed=SEED),
             checkpoint_interval=3,
-            backend=backend,
         )
         res = result_dataset(man, eng.iter_dir(final)).to_pandas()
         states = {int(v): x for v, x in zip(res["vertex"], res["value"])}
-        assert set(states.values()) <= {1.0, 2.0}, (backend, "undecided left")
+        assert set(states.values()) <= {1.0, 2.0}, (executor, "undecided left")
         got = {v for v, s in states.items() if s == 1.0}
-        assert got == exp, (backend, sorted(got ^ exp))
+        assert got == exp, (executor, sorted(got ^ exp))
         _check(edges, got)

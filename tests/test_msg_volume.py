@@ -1,6 +1,6 @@
 """run.json lineage must record per-chunk inbox message volume
-(msg_rows) on the core backend — the combiner-boundedness evidence the
-10x-scale runs archive (engine.py::_chunks_wire_rows)."""
+(msg_rows), equal on both executors — the combiner-boundedness evidence
+the 10x-scale runs archive (engine.py::_chunks_wire_rows)."""
 
 import json
 import os
@@ -15,21 +15,27 @@ from distributed_graph_computing_platform_ray.state.manifest import GraphManifes
 TMP = "/tmp/graft_tests/msg_volume"
 
 
-def test_history_records_msg_rows():
+def test_history_records_msg_rows(use_executor):
     shutil.rmtree(TMP, ignore_errors=True)
     gdir = f"{TMP}/graph"
     build_graph(read_edge_list("tests/fixtures/graph_small.txt"), gdir, dedup=False)
     man = GraphManifest.load(gdir)
-    eng = BSPEngine(man, f"{TMP}/pr", keep_iters=2)
-    eng.run(PageRank(man.n_vertices, num_iters=6), checkpoint_interval=3, backend="core")
-    run = json.load(open(f"{TMP}/pr/run.json"))
-    hist = run["history"]
-    assert len(hist) == 2  # 6 supersteps / checkpoint_interval 3
-    assert all("msg_rows" in h for h in hist)
-    # superstep >= 1: every vertex scatters, so the inbox wire volume
-    # is positive and bounded by parts * part_size (dense combiner)
-    assert hist[-1]["msg_rows"] > 0
-    assert hist[-1]["msg_rows"] <= man.n_parts * man.part_size * man.n_parts
+    rows = {}
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        eng = BSPEngine(man, f"{TMP}/pr_{executor}", keep_iters=2)
+        eng.run(PageRank(man.n_vertices, num_iters=6), checkpoint_interval=3)
+        run = json.load(open(f"{TMP}/pr_{executor}/run.json"))
+        assert run["executor"] == executor
+        hist = run["history"]
+        assert len(hist) == 2  # 6 supersteps / checkpoint_interval 3
+        assert all("msg_rows" in h for h in hist)
+        # superstep >= 1: every vertex scatters, so the inbox wire volume
+        # is positive and bounded by parts * part_size (dense combiner)
+        assert hist[-1]["msg_rows"] > 0
+        assert hist[-1]["msg_rows"] <= man.n_parts * man.part_size * man.n_parts
+        rows[executor] = [h["msg_rows"] for h in hist]
+    assert rows["local"] == rows["tasks"]
 
 
 def test_chunks_wire_rows_shapes():

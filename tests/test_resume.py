@@ -5,9 +5,10 @@ import os
 import shutil
 
 import pyarrow.parquet as pq
+import pytest
 
 from distributed_graph_computing_platform_ray.algorithms import PageRank
-from distributed_graph_computing_platform_ray.engine import BSPEngine
+from distributed_graph_computing_platform_ray.engine import BSPEngine, CheckpointError
 from distributed_graph_computing_platform_ray.pipelines.ingest import build_graph
 from distributed_graph_computing_platform_ray.sources.edge_list import read_edge_list
 from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
@@ -93,26 +94,63 @@ class _KillOncePageRank(PageRank):
         return super().message_base(ids, values, degrees, superstep)
 
 
-def test_worker_kill_mid_superstep_bit_identical(fixtures_dir):
+@pytest.mark.parametrize("executor", ["tasks", "local"])
+def test_worker_kill_mid_superstep_bit_identical(fixtures_dir, executor, use_executor):
     """The reference survives worker failures by restarting the whole
     job from superstep 0 (master/master.go:431-445, README.md:9-10).
-    Here a SIGKILLed worker mid-scatter costs one task retry: the run
+    Here a SIGKILLed worker mid-scatter costs one task retry — a scatter
+    task, or the whole chunk task on the local executor: the run
     completes and the final state is bit-identical to an unbroken run."""
+    use_executor(executor)
     man = GraphManifest.load(f"{TMP}/graph")
 
-    clean = BSPEngine(man, f"{TMP}/fault_ref")
+    clean = BSPEngine(man, f"{TMP}/fault_ref_{executor}")
     clean.run(PageRank(man.n_vertices, num_iters=8))
 
-    marker = f"{TMP}/killed_once"
+    marker = f"{TMP}/killed_once_{executor}"
     if os.path.exists(marker):
         os.remove(marker)
-    eng = BSPEngine(man, f"{TMP}/fault")
+    eng = BSPEngine(man, f"{TMP}/fault_{executor}")
     final = eng.run(
         _KillOncePageRank(man.n_vertices, num_iters=8, kill_marker=marker, kill_superstep=3)
     )
     assert final == 8
     assert os.path.exists(marker), "kill was never triggered"
-    assert _state_bytes(f"{TMP}/fault", 8) == _state_bytes(f"{TMP}/fault_ref", 8)
+    assert _state_bytes(f"{TMP}/fault_{executor}", 8) == _state_bytes(
+        f"{TMP}/fault_ref_{executor}", 8
+    )
+
+
+def _drop_part(path):
+    os.remove(path)
+
+
+def _truncate_part(path):
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[: len(data) // 2])
+
+
+def _short_part(path):
+    t = pq.read_table(path)
+    pq.write_table(t.slice(0, t.num_rows - 1), path)
+
+
+@pytest.mark.parametrize("executor", ["tasks", "local"])
+@pytest.mark.parametrize("damage", [_drop_part, _truncate_part, _short_part])
+def test_resume_from_damaged_checkpoint_fails_loudly(fixtures_dir, executor, damage, use_executor):
+    """A checkpoint with its _DONE.json marker but a missing, truncated
+    or short part file must stop resume with a CheckpointError naming
+    the file — never resume from zero rows of a partition."""
+    use_executor(executor)
+    man = GraphManifest.load(f"{TMP}/graph")
+    eng = BSPEngine(man, f"{TMP}/damaged_{executor}_{damage.__name__}")
+    eng.run(PageRank(man.n_vertices, num_iters=4), checkpoint_interval=2)
+    path = os.path.join(eng.iter_dir(4), "part-00002.parquet")
+    damage(path)
+    with pytest.raises(CheckpointError, match="part-00002.parquet"):
+        eng.run(PageRank(man.n_vertices, num_iters=6), resume=True, checkpoint_interval=2)
 
 
 def test_resume_skips_complete_iterations(fixtures_dir):

@@ -85,10 +85,10 @@ def test_weighted_sssp_dijkstra():
         assert gmap[v] == d, (v, gmap[v], d)
 
 
-def test_weighted_pagerank_vs_numpy_oracle():
+def test_weighted_pagerank_vs_numpy_oracle(use_executor):
     """Weighted PageRank (rank flows proportionally to edge weight)
     matches 30 applications of x <- 0.15/N + 0.85 * W_norm^T x from
-    zero init, on both backends."""
+    zero init, on both executors."""
     edges = [
         ("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 5.0),
         ("c", "d", 1.0), ("b", "d", 9.0), ("d", "a", 2.5),
@@ -113,20 +113,22 @@ def test_weighted_pagerank_vs_numpy_oracle():
     for _ in range(30):
         x = 0.15 / n + 0.85 * (P.T @ x)
 
-    for backend, wd in [("core", "pr_core"), ("dataset", "pr_ds")]:
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        wd = f"pr_{executor}"
         got = run_algorithm(
-            gdir, f"{TMP}/wpr/{wd}", "pagerank_weighted", backend=backend
+            gdir, f"{TMP}/wpr/{wd}", "pagerank_weighted"
         ).to_pandas()
         g = got.set_index("vertex")["value"]
         np.testing.assert_allclose(
-            g.loc[verts].to_numpy(), x, atol=1e-9, err_msg=backend
+            g.loc[verts].to_numpy(), x, atol=1e-9, err_msg=executor
         )
 
 
-def test_earliest_arrival_temporal_oracle():
+def test_earliest_arrival_temporal_oracle(use_executor):
     """Time-respecting earliest arrival: arr(v) = min over symmetrized
     edges (u,v,t) of max(t, arr(u)) — fixpoint oracle by brute
-    iteration; both backends must match exactly. The max-t path can
+    iteration; both executors must match exactly. The max-t path can
     differ from the hop-shortest path (planted below: the 1-hop edge
     to 'd' is late, the 2-hop route is earlier)."""
     edges = [
@@ -158,18 +160,20 @@ def test_earliest_arrival_temporal_oracle():
     assert arr["d"] == 6.0 and arr["c"] == 7.0 and arr["e"] == np.inf
 
     sid = lookup_vertex_id(GraphManifest.load(gdir), "a")
-    for backend, wd in [("core", "ea_core"), ("dataset", "ea_ds")]:
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        wd = f"ea_{executor}"
         got = run_algorithm(
-            gdir, f"{TMP}/temporal/{wd}", "earliest", source_id=sid, backend=backend
+            gdir, f"{TMP}/temporal/{wd}", "earliest", source_id=sid
         ).to_pandas()
         gmap = dict(zip(got["vertex"], got["value"]))
         for v in verts:
-            assert gmap[v] == arr[v], (backend, v, gmap[v], arr[v])
+            assert gmap[v] == arr[v], (executor, v, gmap[v], arr[v])
 
 
-def test_anf_bitmap_propagation_oracle():
+def test_anf_bitmap_propagation_oracle(use_executor):
     """ANF: per-vertex FM bitmaps OR-propagated T rounds must equal
-    brute mask propagation over adjacency + self, on both backends;
+    brute mask propagation over adjacency + self, on both executors;
     mask seeds derive from ORIGINAL keys (partition-independent)."""
     from distributed_graph_computing_platform_ray.utils import splitmix64
 
@@ -191,12 +195,14 @@ def test_anf_bitmap_propagation_oracle():
     for _ in range(T):
         mask = {v: int(np.bitwise_or.reduce([mask[u] for u in adj[v]])) for v in verts}
 
-    for backend, wd in [("core", "anf_core"), ("dataset", "anf_ds")]:
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        wd = f"anf_{executor}"
         got = run_algorithm(
-            gdir, f"{TMP}/anf/{wd}", "anf", num_rounds=T, backend=backend
+            gdir, f"{TMP}/anf/{wd}", "anf", num_rounds=T
         ).to_pandas()
         gm = {int(k): int(v) for k, v in zip(got["vertex"], got["value"])}
-        assert gm == mask, (backend, gm, mask)
+        assert gm == mask, (executor, gm, mask)
 
 
 def test_cc_warm_start_incremental_equals_cold():
@@ -246,12 +252,12 @@ def test_cc_warm_start_incremental_equals_cold():
     assert final_iter(f"{TMP}/inc/cc_warm") < final_iter(f"{TMP}/inc/cc_cold")
 
 
-def test_trustrank_weighted_personalized():
+def test_trustrank_weighted_personalized(use_executor):
     """TrustRank = personalized teleport x weighted scatter. Pinned two
     ways: (1) on unit weights it equals the PPR numpy oracle exactly;
     (2) on the weighted graph it matches 30 applications of
     x <- 0.15/|S|·1_S + 0.85 * Wnorm^T x from zero init, on both
-    backends."""
+    executors."""
     edges = [
         ("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 5.0),
         ("c", "d", 1.0), ("b", "d", 9.0), ("d", "a", 2.5),
@@ -278,7 +284,7 @@ def test_trustrank_weighted_personalized():
         g.loc[verts].to_numpy(), [exp[idx[v]] for v in verts], atol=1e-9
     )
 
-    # (2) weighted graph vs dense numpy recurrence, both backends
+    # (2) weighted graph vs dense numpy recurrence, both executors
     ds2 = rd.from_items(
         [{"src_key": s, "dst_key": d, "weight": w} for s, d, w in edges]
     )
@@ -298,11 +304,13 @@ def test_trustrank_weighted_personalized():
     for _ in range(30):
         x = tele + 0.85 * (P.T @ x)
 
-    for backend, wd in [("core", "tr_core"), ("dataset", "tr_ds")]:
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        wd = f"tr_{executor}"
         got = run_algorithm(
-            g2, f"{TMP}/trust_w/{wd}", "trustrank", seed_ids=sids2, backend=backend
+            g2, f"{TMP}/trust_w/{wd}", "trustrank", seed_ids=sids2
         ).to_pandas()
         gg = got.set_index("vertex")["value"]
         np.testing.assert_allclose(
-            gg.loc[verts].to_numpy(), x, atol=1e-9, err_msg=backend
+            gg.loc[verts].to_numpy(), x, atol=1e-9, err_msg=executor
         )
