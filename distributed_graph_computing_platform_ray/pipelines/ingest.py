@@ -1,30 +1,43 @@
 """Edge-table ingest: string-keyed edges -> dictionary-encoded CSR graph.
 
-Replaces the reference's load path (every worker downloads the ENTIRE
-input file and filters to its partition, /root/reference/worker/worker.go:240,
-149-151 — the exact anti-pattern Ray Data's block-partitioned reads
-remove) with:
+The reference loader has every worker read the whole edge file and keep
+its own partition (reference worker/worker.go:149-151, 164-199, 240).
+``build_graph`` keeps the output of that loader (the symmetrized
+multigraph, one CSR shard per vertex-id range) and picks one of three
+builders from the edge table's row count, which the materialized table
+already holds. All three write bit-identical graph dirs; the manifest
+records which one ran (``build``):
+
+- ``local``: at most ``LOCAL_BUILD_MAX_ROWS`` rows. The driver reads the
+  table once and does every step below in pandas/numpy. Below this size
+  the distributed steps' fixed cost, not the data, sets the time.
+- ``broadcast``: more rows, at most ``BROADCAST_DICT_LIMIT`` distinct
+  keys. The dictionary is ranked on the driver and broadcast; the edge
+  table never leaves the cluster.
+- ``join``: more keys. Every step runs distributed.
+
+The steps:
 
   1. exact dedup of (src_key, dst_key) [optional; the reference keeps
      duplicates — multigraph — so conformance ingest sets dedup=False]
-  2. url/key dictionary: distinct keys get dense ids deterministically —
-     keys are hash-bucketed, sorted + ranked within their bucket, and
-     bucket offsets (a tiny driver-side cumsum over n_buckets counts)
-     turn local ranks into global dense ids. Fully parallel, one
-     shuffle, independent of partition count and batch boundaries.
-  3. edge encoding: two hash-partitioned joins against the dictionary
-     (SURVEY.md §7 'Shuffles and their keys').
+  2. key dictionary: distinct keys get dense ids in one fixed order —
+     hash bucket major, key order within a bucket (``rank_keys``). The
+     distributed form ranks within each bucket and offsets by a
+     driver-side cumsum over the n_buckets counts, so ids never depend
+     on partition count or batch boundaries.
+  3. edge encoding: a broadcast lookup, or two hash-partitioned joins
+     against the dictionary (SURVEY.md §7 'Shuffles and their keys').
   4. symmetrization: emit both directions per input edge, matching the
-     reference's load-time undirected expansion
-     (/root/reference/worker/worker.go:164-199).
-  5. per-partition CSR shard build + manifest with lineage.
+     reference's load-time undirected expansion.
+  5. per-partition CSR shard build + vertex files + manifest with
+     lineage.
 
-Scale: steps 1-3 are one shuffle each with per-group memory bounded by
-n_buckets; step 5's groupby("part") is the single all-to-all that
-co-locates each vertex range's adjacency. At 10^12 documents raise
-n_buckets / n_parts so groups stay ~10^6 rows; nothing here
-materializes the full dataset on the driver (the only driver-side data
-is the n_buckets-row count table).
+Scale: on the ``join`` builder steps 1-3 are one bucketed exchange each
+with per-group memory bounded by n_buckets, and step 5 is one
+range-partition exchange; the driver holds only the n_buckets-row count
+table. At 10^12 documents raise n_buckets / n_parts so groups stay ~10^6
+rows. The ``broadcast`` builder also holds the dictionary on the
+driver, and the ``local`` builder the whole (small) edge table.
 """
 
 from __future__ import annotations
@@ -36,10 +49,20 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.join import add_bucket, bucket_join, distinct, _BUCKET
+from ..stages.exchange import exchange_reduce
+from ..stages.join import add_bucket, bucket_join, bucket_map_groups, _BUCKET
 from ..state.csr import build_shard_arrays, write_shard
 from ..state.manifest import GraphManifest
-from ..utils import atomic_write_parquet
+from ..utils import atomic_write_parquet, bucket_of
+
+# build_graph's driver-side builder takes edge tables up to this many
+# rows. From a sweep of perfbench/gen.py inputs (README "Two
+# builders"): the driver build was faster at every size on 1 CPU and up
+# to ~350 k rows at num_cpus=4; the cut keeps a margin below that, as
+# the crossover falls when the distributed builders get more CPUs.
+LOCAL_BUILD_MAX_ROWS = 250_000
+BROADCAST_DICT_LIMIT = 2_000_000  # keys; ~150 MB as a pandas index
+_INT_KEY = r"[+-]?\d+"  # keys_numeric: every key parses as an integer
 
 
 def _keys_of_edges(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
@@ -57,56 +80,48 @@ def _keys_of_edges(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
     return edges.map_batches(both, batch_format="pyarrow")
 
 
+def rank_keys(keys: np.ndarray, n_buckets: int) -> tuple[np.ndarray, bool]:
+    """Distinct string keys -> (the keys in dense-id order, whether
+    every key is an integer). The order is hash bucket major, sorted
+    within a bucket: the order the distributed rank-in-bucket pass of
+    ``build_dictionary`` gives, so every builder assigns the same ids."""
+    kb = bucket_of(keys, n_buckets)
+    ranked = pd.DataFrame({"key": keys, "b": kb}).sort_values(["b", "key"], kind="stable")
+    numeric = bool(pd.Series(keys, dtype=object).astype(str).str.fullmatch(_INT_KEY).all())
+    return ranked["key"].to_numpy(), numeric
+
+
+def _dictionary(keys: np.ndarray, first_id: int = 0) -> rd.Dataset:
+    """(key, id) Dataset of id-ordered ``keys``, ids from ``first_id``."""
+    ids = first_id + np.arange(len(keys), dtype=np.int64)
+    return rd.from_arrow(
+        pa.table({"key": pa.array(keys, pa.large_string()), "id": pa.array(ids)})
+    ).materialize()
+
+
 def build_dictionary(edges: rd.Dataset, src_col: str, dst_col: str, n_buckets: int):
     """Distinct endpoint keys -> (key, id) with dense deterministic ids.
 
-    Returns (dict_ds materialized, n_vertices). Ids are: sort keys
-    within their hash bucket, then offset by the cumulative count of
-    lower-numbered buckets. Deterministic for any parallelism.
+    Returns (dict_ds materialized, n_vertices, keys_numeric, driver_keys).
+    Ids follow ``rank_keys``: keys sorted within their hash bucket, then
+    offset by the cumulative count of lower-numbered buckets.
+    Deterministic for any parallelism.
 
-    Key-universe fast path: when the (per-batch-deduped) key stream
-    fits ``BROADCAST_DICT_LIMIT`` the ranking happens ON THE DRIVER in
-    one pandas sort — the dictionary is about to be ray.put-broadcast
-    anyway, so if it fits the object store it fits the driver; this
-    replaces a sort-shuffle + stats pass + assign map (~2.5 s of fixed
-    orchestration at ANY size) with milliseconds. The distributed
-    rank-in-bucket path (identical ordering) remains for key universes
-    beyond the broadcast budget.
-
-    Returns (dict_ds, n_vertices, keys_numeric, driver_keys) where
-    ``driver_keys`` is the id-ordered key array when the driver fast
-    path ran (callers can then also write vertices files driver-side,
-    saving the vertices shuffle), else None.
+    When the (per-batch-deduped) key stream fits
+    ``BROADCAST_DICT_LIMIT`` the ranking happens on the driver — the
+    dictionary is about to be broadcast anyway, so if it fits the object
+    store it fits the driver — and ``driver_keys`` is the id-ordered key
+    array (callers then write the vertex files from it). Above the
+    limit a distributed rank-in-bucket pass gives the same ids and
+    ``driver_keys`` is None.
     """
-    from ..utils import stable_hash_array
-
     keys_ds = _keys_of_edges(edges, src_col, dst_col).materialize()
     if keys_ds.count() <= BROADCAST_DICT_LIMIT:
         kpdf = keys_ds.to_pandas()
         # an empty dataset has no blocks and so no 'key' column at all
         u = pd.unique(kpdf["key"].astype(str)) if "key" in kpdf.columns else np.array([], dtype=object)
-        if len(u) == 0:
-            return (
-                rd.from_arrow(
-                    pa.table({"key": pa.array([], pa.large_string()), "id": pa.array([], pa.int64())})
-                ).materialize(),
-                0,
-                True,
-                np.array([], dtype=object),
-            )
-        kb = (stable_hash_array(u) % np.uint64(n_buckets)).astype(np.int64)
-        sdf = pd.DataFrame({"key": u, "b": kb}).sort_values(["b", "key"], kind="stable")
-        keys_numeric = bool(pd.Series(u).astype(str).str.fullmatch(r"[+-]?\d+").all())
-        keys_sorted = sdf["key"].to_numpy()
-        dict_ds = rd.from_arrow(
-            pa.table(
-                {
-                    "key": pa.array(keys_sorted, pa.large_string()),
-                    "id": pa.array(np.arange(len(u), dtype=np.int64)),
-                }
-            )
-        ).materialize()
-        return dict_ds, len(u), keys_numeric, keys_sorted
+        keys_sorted, keys_numeric = rank_keys(u, n_buckets)
+        return _dictionary(keys_sorted), len(u), keys_numeric, keys_sorted
 
     def rank_group(g: pd.DataFrame) -> pd.DataFrame:
         u = np.sort(g["key"].unique())
@@ -118,20 +133,14 @@ def build_dictionary(edges: rd.Dataset, src_col: str, dst_col: str, n_buckets: i
             }
         )
 
-    keys = keys_ds
-    ranked = (
-        add_bucket(keys, ["key"], n_buckets)
-        .groupby(_BUCKET)
-        .map_groups(rank_group, batch_format="pandas")
-        .materialize()
-    )
+    ranked = bucket_map_groups(add_bucket(keys_ds, ["key"], n_buckets), n_buckets, rank_group)
 
     # one cheap pass over the (materialized) ranked keys gathers bucket
     # counts AND the all-keys-integral flag — no extra groupby
     def stats(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(_BUCKET, as_index=False).size()
         g["n_nonnum"] = 0
-        nonnum = int((~df["key"].astype(str).str.fullmatch(r"[+-]?\d+")).sum())
+        nonnum = int((~df["key"].astype(str).str.fullmatch(_INT_KEY)).sum())
         if len(g):
             g.loc[g.index[0], "n_nonnum"] = nonnum
         return g[[_BUCKET, "size", "n_nonnum"]]
@@ -152,9 +161,6 @@ def build_dictionary(edges: rd.Dataset, src_col: str, dst_col: str, n_buckets: i
 
     dict_ds = ranked.map_batches(assign_id, batch_format="pyarrow").materialize()
     return dict_ds, n_vertices, n_nonnum == 0, None
-
-
-BROADCAST_DICT_LIMIT = 2_000_000  # keys; ~150 MB as a pandas index
 
 
 def _string_keys(t: pa.Table, cols: list[str]) -> pa.Table:
@@ -296,6 +302,53 @@ def symmetrize(edges: rd.Dataset) -> rd.Dataset:
     return edges.map_batches(both, batch_format="pyarrow")
 
 
+def _write_csr(manifest: GraphManifest, part: int, src, dst, w) -> dict:
+    """Write one part's CSR shard from its edge rows; returns its lineage row."""
+    lo, hi = manifest.part_bounds(part)
+    return write_shard(manifest, part, *build_shard_arrays(src, dst, w, lo, hi))
+
+
+def write_vertices(manifest: GraphManifest, part: int, keys) -> None:
+    """vertices/part-NNNNN.parquet: the part's (id, key) rows in id
+    order; ``keys`` holds the part's keys in id order."""
+    lo, hi = manifest.part_bounds(part)
+    atomic_write_parquet(
+        manifest.vertices_path(part),
+        pa.table(
+            {
+                "id": pa.array(np.arange(lo, hi, dtype=np.int64)),
+                "key": pa.array(np.asarray(keys).astype(str), pa.string()),
+            }
+        ),
+    )
+
+
+def no_edges(weighted: bool) -> pa.Table:
+    """An empty encoded edge table, for writing a part that got no rows."""
+    cols = {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
+    if weighted:
+        cols["weight"] = pa.array([], pa.float64())
+    return pa.table(cols)
+
+
+def finish_manifest(manifest: GraphManifest, part_rows: list, fill=None) -> GraphManifest:
+    """Save a build's manifest once its shards are written.
+
+    ``fill(part)`` writes each part missing from ``part_rows`` and
+    returns its lineage row. The default writes an empty shard: an
+    exchange skips a part that got no out-edges, which happens only
+    without symmetrize."""
+    if fill is None:
+        e = np.empty(0, dtype=np.int64)
+        fill = lambda p: _write_csr(manifest, p, e, e, np.empty(0) if manifest.weighted else None)  # noqa: E731
+    have = {int(r["part"]) for r in part_rows}
+    rows = list(part_rows) + [fill(p) for p in range(manifest.n_parts) if p not in have]
+    manifest.parts = sorted(rows, key=lambda r: int(r["part"]))
+    manifest.n_edges_directed = int(sum(r["n_edges"] for r in manifest.parts))
+    manifest.save()
+    return manifest
+
+
 def build_graph_encoded(
     edges: rd.Dataset,
     graph_dir: str,
@@ -326,27 +379,20 @@ def build_graph_encoded(
         symmetrized=symmetrize_edges,
         keys_numeric=True,
         source=source_info or {},
+        build="encoded",
     )
     if symmetrize_edges:
         edges = symmetrize(edges)
 
-    def write_part(part: int, t: pa.Table):
-        import numpy as _np
-
-        lo, hi = manifest.part_bounds(part)
-        w = t["weight"].to_numpy() if weighted else None
-        indptr, indices, ww = build_shard_arrays(
-            t["src"].to_numpy().astype(_np.int64), t["dst"].to_numpy().astype(_np.int64), w, lo, hi
+    def write_part(part: int, t: pa.Table) -> dict:
+        write_vertices(manifest, part, np.arange(*manifest.part_bounds(part)))
+        return _write_csr(
+            manifest,
+            part,
+            t["src"].to_numpy().astype(np.int64),
+            t["dst"].to_numpy().astype(np.int64),
+            t["weight"].to_numpy() if weighted else None,
         )
-        row = write_shard(manifest, part, indptr, indices, ww)
-        ids = _np.arange(lo, hi, dtype=_np.int64)
-        atomic_write_parquet(
-            manifest.vertices_path(part),
-            pa.table({"id": pa.array(ids), "key": pa.array(ids.astype(str), pa.string())}),
-        )
-        return row
-
-    from ..stages.exchange import exchange_reduce
 
     # no-sort split/reduce exchange instead of groupby("part") — see
     # stages/exchange.py (same CSR bytes: build_shard_arrays lexsorts)
@@ -356,119 +402,7 @@ def build_graph_encoded(
         lambda t: t["src"].to_numpy() // part_size,
         write_part,
     )
-    seen = {r["part"] for r in part_rows}
-    for p in range(n_parts):
-        if p not in seen:
-            n_local = manifest.part_n_local(p)
-            row = write_shard(
-                manifest, p, np.zeros(n_local + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0) if weighted else None,
-            )
-            lo, hi = manifest.part_bounds(p)
-            ids = np.arange(lo, hi, dtype=np.int64)
-            atomic_write_parquet(
-                manifest.vertices_path(p),
-                pa.table({"id": pa.array(ids), "key": pa.array(ids.astype(str), pa.string())}),
-            )
-            part_rows.append(row)
-    manifest.parts = sorted(part_rows, key=lambda r: int(r["part"]))
-    manifest.n_edges_directed = int(sum(r["n_edges"] for r in manifest.parts))
-    manifest.save()
-    return manifest
-
-
-def build_graph_local(
-    edges_df: pd.DataFrame,
-    graph_dir: str,
-    *,
-    src_col: str = "src_key",
-    dst_col: str = "dst_key",
-    n_parts: int = 32,
-    n_buckets: int = 64,
-    dedup: bool = True,
-    symmetrize_edges: bool = True,
-    source_info: dict | None = None,
-) -> GraphManifest:
-    """Driver-side replica of ``build_graph`` for SMALL edge sets.
-
-    Produces a BIT-IDENTICAL graph dir (same hash-bucket dictionary
-    ranking, partition plan, shard bytes — asserted by
-    tests/test_ingest.py::test_small_graph_fast_path): every chained
-    Dataset execution costs ~1 s of fixed orchestration, so building a
-    few-hundred-edge pair graph distributed pays ~5 s to move kBs.
-    Opt in via ``build_graph(small_graph_edges=...)``; the distributed
-    path remains the default and the only path above the threshold.
-    """
-    from ..utils import stable_hash_array
-
-    os.makedirs(os.path.join(graph_dir, "vertices"), exist_ok=True)
-    os.makedirs(os.path.join(graph_dir, "csr"), exist_ok=True)
-    weighted = "weight" in edges_df.columns
-
-    sk = edges_df[src_col].astype(str)
-    dk = edges_df[dst_col].astype(str)
-    keys = pd.unique(pd.concat([sk, dk], ignore_index=True))
-    if len(keys) == 0:
-        raise ValueError("empty edge input — no vertices")
-    # dictionary: EXACT replica of build_dictionary's ranking — sort
-    # within hash bucket, offset by cumulative lower-bucket counts
-    kb = (stable_hash_array(keys) % np.uint64(n_buckets)).astype(np.int64)
-    kdf = pd.DataFrame({"key": keys, "b": kb}).sort_values(
-        ["b", "key"], kind="stable"
-    )  # bucket-major, key-sorted within = the distributed dense-id order
-    keys_sorted = kdf["key"].to_numpy()
-    ids = np.arange(len(keys), dtype=np.int64)
-    mapping = pd.Series(ids, index=keys_sorted)
-    n_vertices = len(keys)
-    keys_numeric = bool(
-        pd.Series(keys).astype(str).str.fullmatch(r"[+-]?\d+").all()
-    )
-
-    cols = [src_col, dst_col] + (["weight"] if weighted else [])
-    df = edges_df[cols]
-    if dedup:
-        df = df.drop_duplicates(cols)
-    src = mapping.reindex(sk.loc[df.index]).to_numpy(dtype=np.int64)
-    dst = mapping.reindex(dk.loc[df.index]).to_numpy(dtype=np.int64)
-    w = df["weight"].to_numpy(dtype=np.float64) if weighted else None
-    if symmetrize_edges:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if weighted:
-            w = np.concatenate([w, w])
-
-    part_size, n_parts = GraphManifest.plan(graph_dir, n_vertices, n_parts)
-    manifest = GraphManifest(
-        graph_dir=graph_dir,
-        n_vertices=n_vertices,
-        n_edges_directed=0,
-        part_size=part_size,
-        n_parts=n_parts,
-        weighted=weighted,
-        n_buckets=n_buckets,
-        symmetrized=symmetrize_edges,
-        keys_numeric=keys_numeric,
-        source=source_info or {},
-    )
-    part_of = src // part_size
-    part_rows = []
-    for p in range(n_parts):
-        lo, hi = manifest.part_bounds(p)
-        m = part_of == p
-        indptr, indices, ww = build_shard_arrays(
-            src[m], dst[m], (w[m] if weighted else None), lo, hi
-        )
-        part_rows.append(write_shard(manifest, p, indptr, indices, ww))
-        vt = pa.table(
-            {
-                "id": pa.array(np.arange(lo, min(hi, n_vertices), dtype=np.int64)),
-                "key": pa.array(keys_sorted[lo : min(hi, n_vertices)].astype(str), pa.string()),
-            }
-        )
-        atomic_write_parquet(manifest.vertices_path(p), vt)
-    manifest.parts = sorted(part_rows, key=lambda r: int(r["part"]))
-    manifest.n_edges_directed = int(sum(r["n_edges"] for r in manifest.parts))
-    manifest.save()
-    return manifest
+    return finish_manifest(manifest, part_rows, lambda p: write_part(p, no_edges(weighted)))
 
 
 def build_graph(
@@ -482,13 +416,13 @@ def build_graph(
     dedup: bool = True,
     symmetrize_edges: bool = True,
     source_info: dict | None = None,
-    small_graph_edges: int = 0,
 ) -> GraphManifest:
     """Full ingest: string-keyed edge Dataset -> on-disk CSR graph.
 
     ``dedup=False`` preserves input multiplicity (multigraph), matching
     the reference loader; the pages pipeline dedups extracted links
-    first (SURVEY.md §2.7).
+    first (SURVEY.md §2.7). The builder follows from the row count and
+    the key count (module docstring); each writes the same graph dir.
     """
     os.makedirs(os.path.join(graph_dir, "vertices"), exist_ok=True)
     os.makedirs(os.path.join(graph_dir, "csr"), exist_ok=True)
@@ -496,31 +430,34 @@ def build_graph(
     # materialize the key-edges once: they feed both the dictionary and
     # the encode joins (a lazy chain would re-run extraction per consumer)
     edges_keys = edges_keys.materialize()
-    if small_graph_edges and edges_keys.count() <= small_graph_edges:
-        return build_graph_local(
-            edges_keys.to_pandas(),
-            graph_dir,
-            src_col=src_col,
-            dst_col=dst_col,
-            n_parts=n_parts,
-            n_buckets=n_buckets,
-            dedup=dedup,
-            symmetrize_edges=symmetrize_edges,
-            source_info=source_info,
-        )
+    n_rows = edges_keys.count()
+    if n_rows == 0:
+        raise ValueError("empty edge input — no vertices")
     weighted = "weight" in edges_keys.schema().names
 
-    # dedup note: exact (src,dst[,weight]) dedup is FUSED into the
-    # first encode join (same src_key => same bucket) — no extra
-    # shuffle. Duplicate keys don't affect the dictionary (it ranks
-    # distinct keys regardless). keys_numeric: CC/LP propagate original
-    # ids as labels when every key is integral ("component id = min
-    # original vertex id").
-    dict_ds, n_vertices, keys_numeric, driver_keys = build_dictionary(
-        edges_keys, src_col, dst_col, n_buckets
-    )
-    if n_vertices == 0:
-        raise ValueError("empty edge input — no vertices")
+    if n_rows <= LOCAL_BUILD_MAX_ROWS:
+        # driver-side builder: each Dataset execution it skips costs
+        # 0.02-0.09 s of fixed orchestration on a 1-CPU host, more than
+        # the work at this size
+        build = "local"
+        cols = [src_col, dst_col] + (["weight"] if weighted else [])
+        df = edges_keys.to_pandas()[cols].astype({src_col: str, dst_col: str})
+        if dedup:
+            df = df.drop_duplicates()
+        keys, keys_numeric = rank_keys(
+            pd.unique(pd.concat([df[src_col], df[dst_col]], ignore_index=True)), n_buckets
+        )
+        n_vertices = len(keys)
+    else:
+        # dedup note: exact (src,dst[,weight]) dedup is FUSED into the
+        # edge encode below — no extra shuffle. Duplicate keys don't
+        # affect the dictionary (it ranks distinct keys regardless).
+        # keys_numeric: CC/LP propagate original ids as labels when
+        # every key is integral ("component id = min original vertex id").
+        dict_ds, n_vertices, keys_numeric, keys = build_dictionary(
+            edges_keys, src_col, dst_col, n_buckets
+        )
+        build = "broadcast" if n_vertices <= BROADCAST_DICT_LIMIT else "join"
 
     part_size, n_parts = GraphManifest.plan(graph_dir, n_vertices, n_parts)
     manifest = GraphManifest(
@@ -534,141 +471,124 @@ def build_graph(
         symmetrized=symmetrize_edges,
         keys_numeric=keys_numeric,
         source=source_info or {},
+        build=build,
     )
 
-    # The broadcast-encode path defers the GLOBAL pair dedup into the
-    # CSR partition write below: the CSR shuffle keys on src, so every
-    # duplicate of a pair lands in one group — one less all-to-all.
-    # (The join-encode path fuses dedup into its first join already.)
-    csr_dedup = dedup and n_vertices <= BROADCAST_DICT_LIMIT
-    if n_vertices <= BROADCAST_DICT_LIMIT:
-        edges = encode_edges_broadcast(
-            edges_keys, dict_ds, src_col, dst_col,
-            weighted=weighted, dedup_pairs=dedup, global_dedup=False,
-        )
+    if build == "local":
+        index = pd.Index(keys)
+        src = index.get_indexer(df[src_col]).astype(np.int64)
+        dst = index.get_indexer(df[dst_col]).astype(np.int64)
+        w = df["weight"].to_numpy(dtype=np.float64) if weighted else None
+        if symmetrize_edges:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            w = np.concatenate([w, w]) if weighted else None
+        part_of = src // part_size
+        part_rows = []
+        for p in range(n_parts):
+            m = part_of == p
+            part_rows.append(_write_csr(manifest, p, src[m], dst[m], w[m] if weighted else None))
     else:
-        edges = encode_edges(
-            edges_keys, dict_ds, src_col, dst_col, n_buckets,
-            weighted=weighted, dedup_pairs=dedup,
-        )
-    if symmetrize_edges:
-        if csr_dedup:
-            # tag each copy with its ORIGIN direction: the fused
-            # dedup must equal dedup-BEFORE-symmetrize, and only the
-            # flag distinguishes "mutual input links (u,v)+(v,u)"
-            # (each direction legitimately at multiplicity 2 after
-            # symmetrize — the reference loader's behavior) from
-            # "duplicate input rows" (collapse). Self-loops fall out
-            # naturally: (u,u) dedupes to one forward + one mirror.
-            def symmetrize_tag(t: pa.Table) -> pa.Table:
-                s_, d_ = t["src"].combine_chunks(), t["dst"].combine_chunks()
-                n = len(s_)
-                cols = {
-                    "src": pa.chunked_array([s_, d_]),
-                    "dst": pa.chunked_array([d_, s_]),
-                    "fwd": pa.array(
-                        np.concatenate(
-                            [np.ones(n, dtype=np.int8), np.zeros(n, dtype=np.int8)]
-                        )
-                    ),
-                }
-                if "weight" in t.column_names:
-                    w_ = t["weight"].combine_chunks()
-                    cols["weight"] = pa.chunked_array([w_, w_])
-                return pa.table(cols)
+        # The broadcast encode defers the GLOBAL pair dedup into the CSR
+        # partition write below: the CSR shuffle keys on src, so every
+        # duplicate of a pair lands in one group — one less all-to-all.
+        # (The join encode fuses dedup into its first join already.)
+        csr_dedup = dedup and build == "broadcast"
 
-            edges = edges.map_batches(symmetrize_tag, batch_format="pyarrow")
+        def write_csr_part(part: int, t: pa.Table) -> dict:
+            s = t["src"].to_numpy()
+            d = t["dst"].to_numpy()
+            w = t["weight"].to_numpy() if weighted else None
+            if csr_dedup:
+                # fused global dedup on (src, dst, origin-direction[,w]) —
+                # every duplicate of a directed copy shares this group
+                # (the shuffle keys on src)
+                f = (
+                    t["fwd"].to_numpy()
+                    if "fwd" in t.column_names
+                    else np.ones(len(s), dtype=np.int8)
+                )
+                order = np.lexsort((d, f, s) if not weighted else (w, d, f, s))
+                ss, dd, ff = s[order], d[order], f[order]
+                keep = np.concatenate(
+                    [[True], (ss[1:] != ss[:-1]) | (dd[1:] != dd[:-1]) | (ff[1:] != ff[:-1])]
+                )
+                if weighted:
+                    ws_ = w[order]
+                    keep[1:] |= ws_[1:] != ws_[:-1]
+                s, d = ss[keep], dd[keep]
+                w = ws_[keep] if weighted else None
+            return _write_csr(manifest, part, s, d, w)
+
+        if build == "broadcast":
+            edges = encode_edges_broadcast(
+                edges_keys, dict_ds, src_col, dst_col,
+                weighted=weighted, dedup_pairs=dedup, global_dedup=False,
+            )
         else:
-            edges = symmetrize(edges)
-
-    # ---- CSR shards: ONE range-partition exchange, side-write per part ----
-    # raw split/reduce tasks (stages/exchange.py), NOT groupby("part"):
-    # the partition id is pure arithmetic, and the Dataset groupby's
-    # sort-based all-to-all pays a serial sample/sort stage the
-    # exchange avoids (same rationale as the engine's superstep path,
-    # engine.py:255-268). Shard bytes are identical either way —
-    # build_shard_arrays lexsorts its rows (asserted by
-    # tests/test_ingest.py's local-fast-path equality).
-    def write_csr_part(part: int, t: pa.Table):
-        lo, hi = manifest.part_bounds(part)
-        s = t["src"].to_numpy()
-        d = t["dst"].to_numpy()
-        w = t["weight"].to_numpy() if weighted else None
-        if csr_dedup:
-            # fused global dedup on (src, dst, origin-direction[,w]) —
-            # every duplicate of a directed copy shares this group
-            # (the shuffle keys on src)
-            f = (
-                t["fwd"].to_numpy()
-                if "fwd" in t.column_names
-                else np.ones(len(s), dtype=np.int8)
+            edges = encode_edges(
+                edges_keys, dict_ds, src_col, dst_col, n_buckets,
+                weighted=weighted, dedup_pairs=dedup,
             )
-            keys = [d, f] if not weighted else [w, d, f]
-            order = np.lexsort((*keys, s))
-            ss, dd, ff = s[order], d[order], f[order]
-            keep = np.concatenate(
-                [[True], (ss[1:] != ss[:-1]) | (dd[1:] != dd[:-1]) | (ff[1:] != ff[:-1])]
-            )
-            if weighted:
-                ws_ = w[order]
-                keep[1:] |= ws_[1:] != ws_[:-1]
-            s, d = ss[keep], dd[keep]
-            w = ws_[keep] if weighted else None
-        indptr, indices, ww = build_shard_arrays(s, d, w, lo, hi)
-        return write_shard(manifest, part, indptr, indices, ww)
+        if symmetrize_edges:
+            if csr_dedup:
+                # tag each copy with its ORIGIN direction: the fused
+                # dedup must equal dedup-BEFORE-symmetrize, and only the
+                # flag distinguishes "mutual input links (u,v)+(v,u)"
+                # (each direction legitimately at multiplicity 2 after
+                # symmetrize — the reference loader's behavior) from
+                # "duplicate input rows" (collapse). Self-loops fall out
+                # naturally: (u,u) dedupes to one forward + one mirror.
+                def symmetrize_tag(t: pa.Table) -> pa.Table:
+                    s_, d_ = t["src"].combine_chunks(), t["dst"].combine_chunks()
+                    n = len(s_)
+                    cols = {
+                        "src": pa.chunked_array([s_, d_]),
+                        "dst": pa.chunked_array([d_, s_]),
+                        "fwd": pa.array(
+                            np.concatenate(
+                                [np.ones(n, dtype=np.int8), np.zeros(n, dtype=np.int8)]
+                            )
+                        ),
+                    }
+                    if "weight" in t.column_names:
+                        w_ = t["weight"].combine_chunks()
+                        cols["weight"] = pa.chunked_array([w_, w_])
+                    return pa.table(cols)
 
-    from ..stages.exchange import exchange_reduce
+                edges = edges.map_batches(symmetrize_tag, batch_format="pyarrow")
+            else:
+                edges = symmetrize(edges)
 
-    part_rows = exchange_reduce(
-        edges,
-        n_parts,
-        lambda t: t["src"].to_numpy() // part_size,
-        write_csr_part,
-    )
-
-    # Parts whose id range got no out-edges (possible only when
-    # symmetrize_edges=False) still need an (empty) shard file.
-    seen = {r["part"] for r in part_rows}
-    for p in range(n_parts):
-        if p not in seen:
-            n_local = manifest.part_n_local(p)
-            row = write_shard(
-                manifest, p, np.zeros(n_local + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-                np.empty(0) if weighted else None,
-            )
-            part_rows.append(row)
+        # ---- CSR shards: ONE range-partition exchange, side-write per part ----
+        # raw split/reduce tasks (stages/exchange.py), NOT groupby("part"):
+        # the partition id is pure arithmetic, and the Dataset groupby's
+        # sort-based all-to-all pays a serial sample/sort stage the
+        # exchange avoids (same rationale as the engine's superstep path).
+        # Shard bytes are identical either way — build_shard_arrays
+        # lexsorts its rows (asserted by tests/test_ingest.py's
+        # builder equality).
+        part_rows = exchange_reduce(
+            edges,
+            n_parts,
+            lambda t: t["src"].to_numpy() // part_size,
+            write_csr_part,
+        )
 
     # ---- vertices/part-*.parquet: (id, key) sorted by id ----------------
-    if driver_keys is not None:
-        # the dictionary was ranked on the driver — the id-ordered key
-        # array is in hand, so the 64 small vertices files are plain
-        # writes (saves the vertices shuffle, ~1 s fixed)
+    if keys is not None:
+        # the dictionary was ranked on the driver: the id-ordered key
+        # array is in hand, so the vertex files are plain writes
         for p in range(n_parts):
             lo, hi = manifest.part_bounds(p)
-            hi = min(hi, n_vertices)
-            t = pa.table(
-                {
-                    "id": pa.array(np.arange(lo, hi, dtype=np.int64)),
-                    "key": pa.array(driver_keys[lo:hi].astype(str), pa.string()),
-                }
-            )
-            atomic_write_parquet(manifest.vertices_path(p), t)
+            write_vertices(manifest, p, keys[lo:hi])
     else:
 
         def write_vertices_part(part: int, t: pa.Table):
-            g = t.to_pandas().sort_values("id", kind="stable")
-            vt = pa.table({"id": g["id"].to_numpy(), "key": g["key"].astype(str).to_numpy()})
-            atomic_write_parquet(manifest.vertices_path(part), vt)
-            return {"part": int(part), "n_rows": len(g)}
+            write_vertices(manifest, part, t.to_pandas().sort_values("id", kind="stable")["key"])
 
-        from ..stages.exchange import exchange_reduce as _xr
+        exchange_reduce(dict_ds, n_parts, lambda t: t["id"].to_numpy() // part_size, write_vertices_part)
 
-        _xr(dict_ds, n_parts, lambda t: t["id"].to_numpy() // part_size, write_vertices_part)
-
-    manifest.parts = sorted(part_rows, key=lambda r: int(r["part"]))
-    manifest.n_edges_directed = int(sum(r["n_edges"] for r in manifest.parts))
-    manifest.save()
-    return manifest
+    return finish_manifest(manifest, part_rows)
 
 
 def fsck_graph(graph_dir: str) -> "pd.DataFrame":

@@ -48,16 +48,21 @@ import ray.data as rd
 
 from ..stages.exchange import exchange_reduce
 from ..stages.join import add_bucket, bucket_map_groups
-from ..state.csr import build_shard_arrays, write_shard
 from ..state.manifest import GraphManifest
-from ..utils import atomic_write_parquet, ceil_div
+from ..utils import ceil_div
 from .ingest import (
     BROADCAST_DICT_LIMIT,
+    _dictionary,
     _keys_of_edges,
+    _write_csr,
     build_dictionary,
     encode_edges,
     encode_edges_broadcast,
+    finish_manifest,
+    no_edges,
+    rank_keys,
     symmetrize,
+    write_vertices,
 )
 
 
@@ -68,6 +73,13 @@ def _link(src: str, dst: str) -> None:
         os.link(src, dst)
     except OSError:
         shutil.copy2(src, dst)
+
+
+def _reuse_part(old: GraphManifest, manifest: GraphManifest, part: int) -> dict:
+    """Hardlink an unchanged part's CSR files into the new build; returns its old lineage row."""
+    for kind in ("indptr", "indices") + (("weights",) if old.weighted else ()):
+        _link(old.csr_path(part, kind), manifest.csr_path(part, kind))
+    return next(r for r in old.parts if int(r["part"]) == part)
 
 
 def _new_keys(
@@ -131,14 +143,12 @@ def patch_graph(
     os.makedirs(os.path.join(out_dir, "csr"), exist_ok=True)
 
     # ---- 1. new keys -> appended dense ids ---------------------------
-    # driver fast path (mirrors build_dictionary's): when the OLD
-    # dictionary fits the broadcast budget, the anti-join + ranking of
-    # the increment's keys run as two pandas ops instead of three
-    # chained Dataset executions (~1 s fixed orchestration each —
-    # NOTES.md); the distributed tagged-union path remains above it
+    # driver path (mirrors build_dictionary's): when the OLD dictionary
+    # fits the broadcast budget, the anti-join + ranking of the
+    # increment's keys run as two pandas ops instead of three chained
+    # Dataset executions (0.02-0.09 s of fixed orchestration each on a
+    # 1-CPU host); the distributed tagged-union path remains above it
     if old.n_vertices <= BROADCAST_DICT_LIMIT:
-        from ..utils import stable_hash_array
-
         old_keys_arr = (
             rd.read_parquet(os.path.join(graph_dir, "vertices"))
             .select_columns(["key"])
@@ -155,24 +165,8 @@ def patch_graph(
         )
         fresh_u = inc_u[~pd.Series(inc_u).isin(set(old_keys_arr.astype(str))).to_numpy()]
         m = len(fresh_u)
-        new_numeric = bool(
-            pd.Series(fresh_u).astype(str).str.fullmatch(r"[+-]?\d+").all()
-        ) if m else True
-        if m:
-            kb = (stable_hash_array(fresh_u) % np.uint64(n_buckets)).astype(np.int64)
-            order = pd.DataFrame({"key": fresh_u, "b": kb}).sort_values(
-                ["b", "key"], kind="stable"
-            )["key"].to_numpy()
-            new_dict = rd.from_arrow(
-                pa.table(
-                    {
-                        "key": pa.array(order, pa.large_string()),
-                        "id": pa.array(
-                            old.n_vertices + np.arange(m, dtype=np.int64)
-                        ),
-                    }
-                )
-            ).materialize()
+        order, new_numeric = rank_keys(fresh_u, n_buckets)
+        new_dict = _dictionary(order, old.n_vertices) if m else None
     else:
         fresh = _new_keys(new_edges_keys, graph_dir, src_col, dst_col, n_buckets)
         degenerate = fresh.map_batches(
@@ -206,6 +200,7 @@ def patch_graph(
         n_buckets=n_buckets,
         symmetrized=old.symmetrized,
         keys_numeric=old.keys_numeric and (m == 0 or new_numeric),
+        build="broadcast" if n_vertices <= BROADCAST_DICT_LIMIT else "join",
         source={
             "patched_from": os.path.abspath(graph_dir),
             "new_keys": int(m),
@@ -224,7 +219,7 @@ def patch_graph(
     )
     if m:
         dict_all = dict_all.union(new_dict.map_batches(as_kv, batch_format="pyarrow"))
-    if n_vertices <= BROADCAST_DICT_LIMIT:
+    if manifest.build == "broadcast":
         enc = encode_edges_broadcast(
             new_edges_keys, dict_all, src_col, dst_col,
             weighted=weighted, dedup_pairs=dedup, global_dedup=True,
@@ -242,7 +237,6 @@ def patch_graph(
     grow_from = old.n_parts if m == 0 else old.n_vertices // part_size
 
     def merge_part(part: int, t: pa.Table):
-        lo, hi = manifest.part_bounds(part)
         src = t["src"].to_numpy().astype(np.int64)
         dst = t["dst"].to_numpy().astype(np.int64)
         w = t["weight"].to_numpy().astype(np.float64) if weighted else None
@@ -257,46 +251,23 @@ def patch_graph(
             dst = np.concatenate([old_indices.astype(np.int64), dst])
             if weighted:
                 w = np.concatenate([np.load(old.csr_path(part, "weights")), w])
-        indptr, indices, ww = build_shard_arrays(src, dst, w, lo, hi)
-        return write_shard(manifest, part, indptr, indices, ww)
+        return _write_csr(manifest, part, src, dst, w)
 
     rows = exchange_reduce(
         enc, n_parts, lambda t: t["src"].to_numpy() // part_size, merge_part
     )
-    csr_rows = {int(r["part"]): r for r in rows}
-    old_rows = {int(r["part"]): r for r in old.parts}
-    empty_cols = {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
-    if weighted:
-        empty_cols["weight"] = pa.array([], pa.float64())
-    empty_t = pa.table(empty_cols)
-    for p in range(n_parts):
-        if p in csr_rows:
-            continue
+    def fill(p: int) -> dict:
         if p >= grow_from:
             # range grew or the partition is brand new: rebuild/create
-            csr_rows[p] = merge_part(p, empty_t)
-        else:
-            for kind in ("indptr", "indices") + (("weights",) if weighted else ()):
-                _link(old.csr_path(p, kind), manifest.csr_path(p, kind))
-            csr_rows[p] = old_rows[p]
+            return merge_part(p, no_edges(weighted))
+        return _reuse_part(old, manifest, p)
 
     # ---- 4. vertices files -------------------------------------------
     def write_vpart(part: int, t: pa.Table):
-        tabs = []
+        tabs = [t.select(["id", "key"]).to_pandas()]
         if part < old.n_parts:
-            tabs.append(pq.read_table(old.vertices_path(part)))
-        tabs.append(
-            pa.table(
-                {
-                    "id": t["id"].cast(pa.int64()),
-                    "key": t["key"].cast(pa.string()),
-                }
-            )
-        )
-        atomic_write_parquet(
-            manifest.vertices_path(part),
-            pa.concat_tables(tabs, promote_options="default"),
-        )
+            tabs.append(pq.read_table(old.vertices_path(part)).to_pandas())
+        write_vertices(manifest, part, pd.concat(tabs).sort_values("id")["key"])
         return part
 
     vwritten = set()
@@ -309,11 +280,7 @@ def patch_graph(
     for p in range(n_parts):
         if p not in vwritten:
             _link(old.vertices_path(p), manifest.vertices_path(p))
-
-    manifest.parts = sorted(csr_rows.values(), key=lambda r: int(r["part"]))
-    manifest.n_edges_directed = int(sum(r["n_edges"] for r in manifest.parts))
-    manifest.save()
-    return manifest
+    return finish_manifest(manifest, rows, fill)
 
 
 def delete_edges(
@@ -354,7 +321,8 @@ def delete_edges(
     )
     # unknown keys would surface as nulls in the encode join; a delete
     # for an edge the graph never had is a caller bug worth raising on
-    if old.n_vertices <= BROADCAST_DICT_LIMIT:
+    build = "broadcast" if old.n_vertices <= BROADCAST_DICT_LIMIT else "join"
+    if build == "broadcast":
         enc = encode_edges_broadcast(
             del_edges_keys, dict_all, src_col, dst_col, weighted=False
         )
@@ -375,6 +343,7 @@ def delete_edges(
         n_buckets=n_buckets,
         symmetrized=old.symmetrized,
         keys_numeric=old.keys_numeric,
+        build=build,
         source={
             "deleted_from": os.path.abspath(graph_dir),
             **(source_info or {}),
@@ -412,26 +381,13 @@ def delete_edges(
         keep_sorted = occ >= dc[inv]
         keep = np.empty(len(po), dtype=bool)
         keep[order] = keep_sorted
-        indptr, indices, ww = build_shard_arrays(
-            src_old[keep], old_indices[keep],
-            (w_old[keep] if weighted else None), lo, hi,
+        return _write_csr(
+            manifest, part, src_old[keep], old_indices[keep], w_old[keep] if weighted else None
         )
-        return write_shard(manifest, part, indptr, indices, ww)
 
     rows = exchange_reduce(
         enc, old.n_parts, lambda t: t["src"].to_numpy() // old.part_size, drop_part
     )
-    csr_rows = {int(r["part"]): r for r in rows}
-    old_rows = {int(r["part"]): r for r in old.parts}
     for p in range(old.n_parts):
         _link(old.vertices_path(p), manifest.vertices_path(p))
-        if p in csr_rows:
-            continue
-        for kind in ("indptr", "indices") + (("weights",) if weighted else ()):
-            _link(old.csr_path(p, kind), manifest.csr_path(p, kind))
-        csr_rows[p] = old_rows[p]
-
-    manifest.parts = sorted(csr_rows.values(), key=lambda r: int(r["part"]))
-    manifest.n_edges_directed = int(sum(r["n_edges"] for r in manifest.parts))
-    manifest.save()
-    return manifest
+    return finish_manifest(manifest, rows, lambda p: _reuse_part(old, manifest, p))

@@ -139,7 +139,6 @@ def strongly_connected_components(
             n_buckets=2 * n_parts,
             dedup=False,  # doubling a distinct edge set stays distinct
             symmetrize_edges=False,
-            small_graph_edges=2_000_000,
         )
         res = run_algorithm(os.path.join(rdir, "graph"), os.path.join(rdir, "cc"), "cc")
 

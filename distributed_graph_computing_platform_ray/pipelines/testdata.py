@@ -82,7 +82,6 @@ def _build_domain_graph(n: int, gdir: str, kind: str, n_buckets: int) -> "GraphM
         n_buckets=16,
         dedup=False,
         symmetrize_edges=True,
-        small_graph_edges=2_000_000,
         source_info={"kind": kind, "n": n},
     )
 
@@ -928,7 +927,6 @@ def q_graph_robustness(sf_dir: str, ks=(0, 20, 50)):
         build_graph(
             edges.map_batches(filt, batch_format="pyarrow"),
             f"{root}/graph", n_parts=8, n_buckets=16, dedup=False,
-            small_graph_edges=5_000_000,
         )
         cc = run_algorithm(f"{root}/graph", f"{root}/cc", "cc")
 
@@ -989,7 +987,6 @@ def q_random_failure(sf_dir: str, mods=(0, 8, 4, 2)):
         build_graph(
             edges.map_batches(filt, batch_format="pyarrow"),
             f"{root}/graph", n_parts=8, n_buckets=16, dedup=False,
-            small_graph_edges=5_000_000,
         )
         cc = run_algorithm(f"{root}/graph", f"{root}/cc", "cc")
 
@@ -8431,7 +8428,7 @@ def q_entity_resolution(sf_dir: str):
 
     build_graph(
         pairs.map_batches(keyify, batch_format="pyarrow"),
-        gdir, n_parts=4, n_buckets=8, dedup=False, small_graph_edges=5_000_000,
+        gdir, n_parts=4, n_buckets=8, dedup=False,
     )
     cc = run_algorithm(gdir, wdir, "cc").to_pandas()
     cc["label"] = cc["value"].astype(np.int64)
@@ -9692,7 +9689,6 @@ def q_salsa(sf_dir: str, n_pages: int = 2000, n_buckets: int = 16):
         n_parts=8,
         n_buckets=16,
         dedup=True,
-        small_graph_edges=2_000_000,
         source_info={"kind": "salsa_authority_pairs"},
     )
     cc = run_algorithm(f"{root}/graph", f"{root}/cc", "cc")
@@ -10916,7 +10912,6 @@ def q_pagerank_dangling(sf_dir: str, n: int = 2000):
         n_buckets=16,
         dedup=False,
         symmetrize_edges=False,
-        small_graph_edges=2_000_000,
         source_info={"kind": "pages_directed_dangling", "n": n},
     )
     res = _ra(f"{root}/graph", f"{root}/pr", "pagerank_dangling")
@@ -11172,7 +11167,6 @@ def q_bfs_layers(sf_dir: str, n: int = 2000, n_buckets: int = 8):
         n_buckets=16,
         dedup=False,
         symmetrize_edges=False,
-        small_graph_edges=2_000_000,
         source_info={"kind": "pages_directed_bfs", "n": n},
     )
     sid = lookup_vertex_id(man, seed)
@@ -11413,7 +11407,6 @@ def q_pagerank_mass_by_depth(sf_dir: str, n: int = 2000, n_buckets: int = 8):
         n_buckets=16,
         dedup=False,
         symmetrize_edges=False,
-        small_graph_edges=2_000_000,
         source_info={"kind": "pages_directed_prdepth", "n": n},
     )
     sid = lookup_vertex_id(man, seed)
@@ -11533,7 +11526,7 @@ def q_web_bowtie(sf_dir: str, n: int = 2000, n_buckets: int = 8):
     for tag, ds in (("fwd", links), ("rev", links.map_batches(swap, batch_format="pyarrow"))):
         man = _bg(
             ds, f"{root}/g_{tag}", n_parts=8, n_buckets=16, dedup=False,
-            symmetrize_edges=False, small_graph_edges=2_000_000,
+            symmetrize_edges=False,
             source_info={"kind": f"pages_bowtie_{tag}", "n": n},
         )
         sid = lookup_vertex_id(man, seed)
@@ -12682,7 +12675,6 @@ def q_domain_hits(sf_dir: str, n: int = 2000, num_iters: int = 4):
         n_buckets=16,
         dedup=False,
         symmetrize_edges=False,
-        small_graph_edges=2_000_000,
         source_info={"kind": "domain_hits", "n": n},
     )
     res = run_algorithm(
@@ -13791,7 +13783,6 @@ def q_opic_cash(sf_dir: str, n: int = 2000, num_rounds: int = 10):
         n_buckets=16,
         dedup=False,
         symmetrize_edges=False,
-        small_graph_edges=2_000_000,
         source_info={"kind": "pages_directed_opic", "n": n},
     )
     res = _ra(f"{root}/graph", f"{root}/opic", "opic", num_rounds=num_rounds)
@@ -13903,7 +13894,6 @@ def q_cascade_ic(
         n_buckets=16,
         dedup=False,  # es is distinct per direction; live self-loops impossible
         symmetrize_edges=False,
-        small_graph_edges=2_000_000,
         source_info={"kind": "cascade_ic", "p_pct": p_pct, "seed": coin_seed},
     )
     sids = tuple(sorted(lookup_vertex_id(man, str(int(s))) for s in seeds))
@@ -16857,7 +16847,6 @@ def q_neardup_threshold_curve(sf_dir: str):
             n_parts=2,
             n_buckets=4,
             dedup=True,
-            small_graph_edges=2_000_000,
         )
         cc = run_algorithm(gdir, _cache(sf_dir, f"ndtc_cc_{thr}"), "cc").materialize()
         n_docs = cc.count()

@@ -35,7 +35,6 @@ from ..functions.text import (
     quality_score_words,
     token_count_bpe_ish,
 )
-from .extract import _pool_size
 
 
 class PageAnalyze:
@@ -120,5 +119,5 @@ def _analyze_batch(t: pa.Table) -> pa.Table:
     return _ANALYZER(t)
 
 
-def analyze_pages(pages: rd.Dataset, concurrency=None, batch_size: int = 128) -> rd.Dataset:
+def analyze_pages(pages: rd.Dataset, batch_size: int = 128) -> rd.Dataset:
     return pages.map_batches(_analyze_batch, batch_format="pyarrow", batch_size=batch_size)

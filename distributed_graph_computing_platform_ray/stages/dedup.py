@@ -412,7 +412,6 @@ def minhash_dedup(
         n_parts=n_parts,
         n_buckets=2 * n_parts,
         dedup=True,
-        small_graph_edges=2_000_000,  # pair graphs are collapse residue
     )
     cc = run_algorithm(gdir, os.path.join(work_dir, "cc"), "cc")
     return cc.map_batches(

@@ -17,8 +17,8 @@ B blocks produce B*n_parts objects; size blocks so B stays O(10^4)
 (DataContext.target_max_block_size). Reducers must be given a
 deterministic-order chunk list (block order, which this preserves) or
 sort internally — every caller here sorts (build_shard_arrays lexsorts,
-vertices sort by id), so results are bit-identical to the groupby path
-(asserted by tests/test_ingest.py's fast-path equality).
+vertices sort by id), so results do not depend on block order (the
+driver-side builder writes the same bytes — tests/test_ingest.py).
 """
 
 from __future__ import annotations

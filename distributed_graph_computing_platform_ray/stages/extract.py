@@ -53,18 +53,6 @@ class ExtractText:
         )
 
 
-def _pool_size() -> int:
-    """Size the actor pool to the cluster, leaving headroom for the
-    read and downstream shuffle stages."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, cpus - 2)
-
-
 def _links_batch(t: pa.Table) -> pa.Table:
     from .taskify import worker_cached
 
@@ -77,14 +65,14 @@ def _text_batch(t: pa.Table) -> pa.Table:
     return worker_cached("extract_text", ExtractText)(t)
 
 
-def extract_links(pages: rd.Dataset, concurrency=None, batch_size: int = 256) -> rd.Dataset:
+def extract_links(pages: rd.Dataset, batch_size: int = 256) -> rd.Dataset:
     # stateless tasks + per-worker stage cache (stages/taskify.py): the
     # compiled-regex state amortizes per worker process with no pool
     # ramp-up, and idle workers can join mid-execution
     return pages.map_batches(_links_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
-def extract_text(pages: rd.Dataset, concurrency=None, batch_size: int = 256) -> rd.Dataset:
+def extract_text(pages: rd.Dataset, batch_size: int = 256) -> rd.Dataset:
     return pages.map_batches(_text_batch, batch_format="pyarrow", batch_size=batch_size)
 
 

@@ -3,9 +3,9 @@
 The reference has no relational joins (SURVEY.md §2.4) — the target
 engine needs two: exact distinct (link/url dedup, §2.7) and a
 large-large equi-join (url->id edge encoding, §7 step 3). Both are
-expressed as ONE Ray Data shuffle each: add a deterministic hash-bucket
-column, ``groupby(bucket)``, and finish the work per bucket with
-vectorized pandas/numpy inside ``map_groups``.
+expressed as ONE bucketed exchange each: add a deterministic hash-bucket
+column, route rows by bucket (``bucket_map_groups``), and finish the
+work per bucket with vectorized pandas/numpy.
 
 Scale notes (100 TB): ``n_buckets`` bounds per-group memory — size it
 so (input_rows / n_buckets) rows fit a worker heap; because the bucket
@@ -16,7 +16,6 @@ exactly once per shuffle. Small-side joins should instead broadcast
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
@@ -26,44 +25,26 @@ import ray
 import ray.data as rd
 
 from ..utils import bucket_of, stable_hash_rows
+from .exchange import exchange_map_groups
 
 _BUCKET = "__bucket"
 _SIDE = "__side"
-
-# All four bucket primitives below finish with "one kernel call per
-# bucket". By default that runs on the no-sort split/reduce exchange
-# (stages/exchange.py) instead of Dataset.groupby's sort-based
-# all-to-all — the bucket id is already a pure hash of the key, so the
-# sort (and its serial sample stage) bought nothing. Set
-# GRAFT_BUCKET_EXCHANGE=0 to fall back to the groupby path (kept for
-# A/B and as the lazy-plan variant; kernels are shared, results equal
-# up to row order, and every kernel is order-insensitive or sorts).
-_USE_EXCHANGE = os.environ.get("GRAFT_BUCKET_EXCHANGE", "1") == "1"
-
 
 def bucket_map_groups(
     keyed: rd.Dataset, n_buckets: int, fn, batch_format: str = "pandas"
 ) -> rd.Dataset:
     """``keyed.groupby(_BUCKET).map_groups(fn)`` on the no-sort
-    exchange (the public face of the switch below — use this instead
-    of a literal ``groupby(_BUCKET)`` chain for any bucketed kernel)."""
-    return _bucket_groups(keyed, n_buckets, fn, batch_format)
-
-
-def _bucket_groups(
-    keyed: rd.Dataset, n_buckets: int, fn, batch_format: str
-) -> rd.Dataset:
-    if _USE_EXCHANGE:
-        from .exchange import exchange_map_groups
-
-        return exchange_map_groups(
-            keyed,
-            n_buckets,
-            lambda t: t[_BUCKET].to_numpy(),
-            fn,
-            batch_format=batch_format,
-        )
-    return keyed.groupby(_BUCKET).map_groups(fn, batch_format=batch_format)
+    split/reduce exchange (stages/exchange.py): the bucket id is already
+    a pure hash of the key, so a sort-based all-to-all (and its serial
+    sample stage) would buy nothing. Every bucketed kernel runs through
+    this; kernels are order-insensitive or sort inside ``fn``."""
+    return exchange_map_groups(
+        keyed,
+        n_buckets,
+        lambda t: t[_BUCKET].to_numpy(),
+        fn,
+        batch_format=batch_format,
+    )
 
 
 def _add_bucket_batch(t: pa.Table, cols: list[str], n_buckets: int) -> pa.Table:
@@ -99,7 +80,7 @@ def bucket_sum(
         out = g.groupby(key_cols, as_index=False, sort=False)[sum_cols].sum()
         return out
 
-    return _bucket_groups(
+    return bucket_map_groups(
         add_bucket(ds, key_cols, n_buckets), n_buckets, per_bucket, "pandas"
     )
 
@@ -121,7 +102,7 @@ def distinct(ds: rd.Dataset, cols: list[str], n_buckets: int = 64) -> rd.Dataset
         out = g[cols].drop_duplicates()
         return out.sort_values(cols).reset_index(drop=True)
 
-    return _bucket_groups(
+    return bucket_map_groups(
         add_bucket(
             ds.select_columns(cols).map_batches(predrop, batch_format="pandas"),
             cols,
@@ -147,7 +128,7 @@ def distinct_keep_first(
         out = g.drop_duplicates(subset=key_cols, keep="first")
         return out.drop(columns=[_BUCKET]).reset_index(drop=True)
 
-    return _bucket_groups(
+    return bucket_map_groups(
         add_bucket(ds, key_cols, n_buckets), n_buckets, keep_first, "pandas"
     )
 
@@ -282,7 +263,7 @@ def bucket_join(
             pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
         )
 
-    return _bucket_groups(
+    return bucket_map_groups(
         add_bucket(tagged, [left_on], n_buckets), n_buckets, join_bucket, "pyarrow"
     )
 

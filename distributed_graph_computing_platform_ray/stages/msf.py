@@ -224,7 +224,6 @@ def msf_boruvka_distributed(
             n_parts=2,
             n_buckets=4,
             dedup=True,
-            small_graph_edges=2_000_000,  # selection graphs halve every round
         )
         cc = run_algorithm(gdir, cdir, "cc")
         def to_map(t: pa.Table) -> pa.Table:

@@ -52,6 +52,11 @@ class GraphManifest:
     # hypothesis property test serving stale key arrays from the
     # worker-process caches
     build_id: str = ""
+    # which builder wrote the graph: build_graph records "local",
+    # "broadcast" or "join" (ingest.py), patch_graph/delete_edges their
+    # encode path, build_graph_encoded "encoded"; "" in manifests
+    # written before the field existed
+    build: str = ""
 
     def __post_init__(self):
         if not self.build_id:
@@ -105,6 +110,7 @@ class GraphManifest:
             "parts": sorted(self.parts, key=lambda r: r["part"]),
             "source": self.source,
             "build_id": self.build_id,
+            "build": self.build,
         }
         atomic_write_json(os.path.join(self.graph_dir, "manifest.json"), obj)
 

@@ -44,3 +44,22 @@ def use_executor(monkeypatch):
         monkeypatch.setattr(engine, "LOCAL_MAX_EDGES", EXECUTORS[name])
 
     return use
+
+
+# ingest settings (LOCAL_BUILD_MAX_ROWS, BROADCAST_DICT_LIMIT) that force
+# each build_graph builder
+BUILDERS = {"local": (1 << 62, 1 << 62), "broadcast": (-1, 1 << 62), "join": (-1, 0)}
+
+
+@pytest.fixture
+def use_builder(monkeypatch):
+    """``use_builder("local" | "broadcast" | "join")`` forces
+    build_graph's builder for every build after it in the test."""
+    from distributed_graph_computing_platform_ray.pipelines import ingest
+
+    def use(name: str) -> None:
+        rows, keys = BUILDERS[name]
+        monkeypatch.setattr(ingest, "LOCAL_BUILD_MAX_ROWS", rows)
+        monkeypatch.setattr(ingest, "BROADCAST_DICT_LIMIT", keys)
+
+    return use

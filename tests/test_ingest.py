@@ -6,6 +6,7 @@ import os
 import shutil
 
 import numpy as np
+import pandas as pd
 import pytest
 import pyarrow.dataset as pads
 import ray.data as rd
@@ -14,6 +15,8 @@ from distributed_graph_computing_platform_ray.pipelines.ingest import build_grap
 from distributed_graph_computing_platform_ray.sources.edge_list import read_edge_list
 from distributed_graph_computing_platform_ray.state.csr import load_shard
 from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
+
+from .conftest import BUILDERS
 
 TMP = "/tmp/graft_tests/ingest"
 
@@ -94,48 +97,48 @@ def test_weighted_edges_roundtrip():
     assert total_w == 2 * (2.5 + 1.0)  # symmetrized
 
 
-def test_small_graph_fast_path_bit_identical(fixtures_dir):
-    """build_graph(small_graph_edges=...) must produce a BIT-IDENTICAL
-    graph dir to the distributed build: same dictionary ranking, same
-    partition plan, same shard checksums, same vertex files."""
-    import pyarrow.dataset as pads
+def _build_each(use_builder, make_edges, tag, **kw) -> list:
+    """Build the same edges with every builder; each manifest must
+    record the builder that wrote it."""
+    mans = []
+    for builder in BUILDERS:
+        use_builder(builder)
+        out = f"{TMP}/builders/{tag}_{builder}"
+        shutil.rmtree(out, ignore_errors=True)
+        man = build_graph(make_edges(), out, **kw)
+        assert man.build == GraphManifest.load(out).build == builder
+        mans.append(man)
+    return mans
 
-    from distributed_graph_computing_platform_ray.pipelines.ingest import build_graph
-    from distributed_graph_computing_platform_ray.sources.edge_list import read_edge_list
-    from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
 
-    path = os.path.join(fixtures_dir, "graph_small.txt")
-    d_dist = "/tmp/graft_tests/fastpath/dist"
-    d_loc = "/tmp/graft_tests/fastpath/local"
-    for d in (d_dist, d_loc):
-        shutil.rmtree(d, ignore_errors=True)
-    kw = dict(n_parts=4, n_buckets=8, dedup=True, symmetrize_edges=True)
-    build_graph(read_edge_list(path), d_dist, **kw)
-    build_graph(read_edge_list(path), d_loc, small_graph_edges=10**6, **kw)
-
-    a = GraphManifest.load(d_dist)
-    b = GraphManifest.load(d_loc)
-    assert (a.n_vertices, a.part_size, a.n_parts, a.keys_numeric, a.weighted) == (
-        b.n_vertices, b.part_size, b.n_parts, b.keys_numeric, b.weighted
+def _assert_same_graph(a, b):
+    """Bit-identical graph dirs: same plan, shard CRCs, weights and
+    vertex files."""
+    assert (a.n_vertices, a.n_edges_directed, a.part_size, a.n_parts, a.keys_numeric, a.weighted) == (
+        b.n_vertices, b.n_edges_directed, b.part_size, b.n_parts, b.keys_numeric, b.weighted
     )
-    assert a.n_edges_directed == b.n_edges_directed
-    ra = {int(r["part"]): (r["crc_indptr"], r["crc_indices"], r["n_edges"]) for r in a.parts}
-    rb = {int(r["part"]): (r["crc_indptr"], r["crc_indices"], r["n_edges"]) for r in b.parts}
-    assert ra == rb
+    assert a.parts == b.parts
     for p in range(a.n_parts):
-        ta = pads.dataset(a.vertices_path(p)).to_table().to_pandas()
-        tb = pads.dataset(b.vertices_path(p)).to_table().to_pandas()
-        assert ta.equals(tb), f"vertices part {p} differ"
+        assert pads.dataset(a.vertices_path(p)).to_table().equals(
+            pads.dataset(b.vertices_path(p)).to_table()
+        ), f"vertices part {p} differ"
+        if a.weighted:
+            assert (np.load(a.csr_path(p, "weights")) == np.load(b.csr_path(p, "weights"))).all()
 
 
-def test_small_graph_fast_path_weighted_bit_identical():
-    """Weighted variant of the fast-path bit-identity check."""
-    import pandas as pd
-    import pyarrow.dataset as pads
+def test_small_graph_fast_path_bit_identical(fixtures_dir, use_builder):
+    """Every builder writes a BIT-IDENTICAL graph dir: same dictionary
+    ranking, same partition plan, same shard checksums, same vertex
+    files."""
+    path = os.path.join(fixtures_dir, "graph_small.txt")
+    kw = dict(n_parts=4, n_buckets=8, dedup=True, symmetrize_edges=True)
+    first, *rest = _build_each(use_builder, lambda: read_edge_list(path), "small", **kw)
+    for man in rest:
+        _assert_same_graph(first, man)
 
-    from distributed_graph_computing_platform_ray.pipelines.ingest import build_graph
-    from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
 
+def test_small_graph_fast_path_weighted_bit_identical(use_builder):
+    """Weighted variant of the builder bit-identity check."""
     edges = pd.DataFrame(
         {
             "src_key": ["1", "2", "3", "1", "4", "2"],
@@ -143,36 +146,21 @@ def test_small_graph_fast_path_weighted_bit_identical():
             "weight": [1.5, 2.0, 0.5, 3.0, 1.0, 2.0],  # (2,3) dup w/ same weight
         }
     )
-    d_dist = "/tmp/graft_tests/fastpath/wdist"
-    d_loc = "/tmp/graft_tests/fastpath/wlocal"
-    for d in (d_dist, d_loc):
-        shutil.rmtree(d, ignore_errors=True)
     kw = dict(n_parts=2, n_buckets=4, dedup=True, symmetrize_edges=True)
-    build_graph(rd.from_pandas(edges), d_dist, **kw)
-    build_graph(rd.from_pandas(edges), d_loc, small_graph_edges=10**6, **kw)
-    a, b = GraphManifest.load(d_dist), GraphManifest.load(d_loc)
-    assert a.weighted and b.weighted
-    assert a.n_edges_directed == b.n_edges_directed == 10  # 5 distinct x2
-    ra = {int(r["part"]): (r["crc_indptr"], r["crc_indices"]) for r in a.parts}
-    rb = {int(r["part"]): (r["crc_indptr"], r["crc_indices"]) for r in b.parts}
-    assert ra == rb
-    for p in range(a.n_parts):
-        wa = np.load(a.csr_path(p, "weights"))
-        wb = np.load(b.csr_path(p, "weights"))
-        assert (wa == wb).all()
+    first, *rest = _build_each(use_builder, lambda: rd.from_pandas(edges), "weighted", **kw)
+    assert first.weighted
+    assert first.n_edges_directed == 10  # 5 distinct x2
+    for man in rest:
+        _assert_same_graph(first, man)
 
 
-def test_csr_dedup_fusion_selfloops_and_dups_bit_identical():
-    """dedup=True with duplicate edges AND self-loops: the fused
-    in-CSR global dedup must equal dedup-before-symmetrize (local
-    fast path) — in particular a deduped self-loop keeps BOTH
-    symmetrized copies (degree 2), matching the reference loader."""
-    import pandas as pd
-    import numpy as np
-
-    from distributed_graph_computing_platform_ray.pipelines.ingest import build_graph
-    from distributed_graph_computing_platform_ray.state.csr import load_shard, load_vertex_keys
-    from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
+def test_csr_dedup_fusion_selfloops_and_dups_bit_identical(use_builder):
+    """dedup=True with duplicate edges AND self-loops: the broadcast
+    builder's fused in-CSR global dedup must equal dedup-before-
+    symmetrize (the other builders) — in particular a deduped self-loop
+    keeps BOTH symmetrized copies (degree 2), matching the reference
+    loader."""
+    from distributed_graph_computing_platform_ray.state.csr import load_vertex_keys
 
     edges = pd.DataFrame(
         {
@@ -180,22 +168,15 @@ def test_csr_dedup_fusion_selfloops_and_dups_bit_identical():
             "dst_key": ["2", "2", "3", "3", "3", "1", "4", "4", "1"],
         }
     )  # dup (1,2); self-loop 3 twice; self-loop 4; MUTUAL pair (1,4)+(4,1)
-    d_dist = "/tmp/graft_tests/fastpath/sl_dist"
-    d_loc = "/tmp/graft_tests/fastpath/sl_local"
-    for d in (d_dist, d_loc):
-        shutil.rmtree(d, ignore_errors=True)
     kw = dict(n_parts=2, n_buckets=4, dedup=True, symmetrize_edges=True)
-    build_graph(rd.from_pandas(edges), d_dist, **kw)
-    build_graph(rd.from_pandas(edges), d_loc, small_graph_edges=10**6, **kw)
-    a, b = GraphManifest.load(d_dist), GraphManifest.load(d_loc)
+    mans = _build_each(use_builder, lambda: rd.from_pandas(edges), "selfloops", **kw)
     # distinct directed copies: (1,2),(2,1),(2,3),(3,2),(3,1),(1,3)
     # + self 3 x2 + self 4 x2 + mutual (1,4)/(4,1) at multiplicity 2 each
-    assert a.n_edges_directed == b.n_edges_directed == 14
-    ra = {int(r["part"]): (r["crc_indptr"], r["crc_indices"]) for r in a.parts}
-    rb = {int(r["part"]): (r["crc_indptr"], r["crc_indices"]) for r in b.parts}
-    assert ra == rb
+    assert mans[0].n_edges_directed == 14
+    for man in mans[1:]:
+        _assert_same_graph(mans[0], man)
     # self-loop vertices have degree 2 from their loop
-    for man in (a, b):
+    for man in mans:
         degs = {}
         for p in range(man.n_parts):
             keys = load_vertex_keys(man, p)
@@ -206,17 +187,11 @@ def test_csr_dedup_fusion_selfloops_and_dups_bit_identical():
         assert degs["3"] == 4  # (3,2),(3,1) + doubled self-loop
 
 
-@pytest.mark.parametrize("dict_limit", [None, 0])
-def test_int64_keys_build_like_string_keys(monkeypatch, dict_limit):
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_int64_keys_build_like_string_keys(use_builder, builder):
     """An int64-keyed edge table builds the same graph as its
-    string-keyed twin, on the broadcast encode path and (with the
-    broadcast limit at 0) on the join encode path."""
-    import pandas as pd
-
-    from distributed_graph_computing_platform_ray.pipelines import ingest
-
-    if dict_limit is not None:
-        monkeypatch.setattr(ingest, "BROADCAST_DICT_LIMIT", dict_limit)
+    string-keyed twin on every builder."""
+    use_builder(builder)
     rng = np.random.default_rng(7)
     src = rng.integers(0, 40, 120) * 1_000_003
     dst = rng.integers(0, 40, 120) * 1_000_003
@@ -224,14 +199,22 @@ def test_int64_keys_build_like_string_keys(monkeypatch, dict_limit):
     strs = ints.astype(str)
     mans = []
     for name, df in (("int", ints), ("str", strs)):
-        out = f"{TMP}/keys_{name}_{dict_limit}"
+        out = f"{TMP}/keys_{name}_{builder}"
         shutil.rmtree(out, ignore_errors=True)
         mans.append(build_graph(rd.from_pandas(df), out, n_parts=3, n_buckets=4))
     a, b = mans
-    assert (a.n_vertices, a.n_edges_directed, a.part_size, a.keys_numeric) == (
-        b.n_vertices, b.n_edges_directed, b.part_size, b.keys_numeric
-    )
+    assert a.build == b.build == builder
     assert a.n_vertices == len(set(src) | set(dst))
-    ra = {int(r["part"]): (r["crc_indptr"], r["crc_indices"], r["n_edges"]) for r in a.parts}
-    rb = {int(r["part"]): (r["crc_indptr"], r["crc_indices"], r["n_edges"]) for r in b.parts}
-    assert ra == rb
+    _assert_same_graph(a, b)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_empty_edge_table_raises(use_builder, builder):
+    """An edge table with no rows raises the named error on every
+    builder — with its columns, and with no blocks at all (what a
+    read of a comment-only edge file gives)."""
+    use_builder(builder)
+    typed = pd.DataFrame({"src_key": pd.Series([], dtype=str), "dst_key": pd.Series([], dtype=str)})
+    for tag, edges in (("typed", rd.from_pandas(typed)), ("blockless", rd.from_items([]))):
+        with pytest.raises(ValueError, match="empty edge input — no vertices"):
+            build_graph(edges, f"{TMP}/empty_{tag}_{builder}")

@@ -140,37 +140,27 @@ def test_fuzzy_d1_matches_dp_levenshtein(words):
 )
 @settings(**_SETTINGS)
 def test_exchange_matches_groupby_bucket_path(rows, n_buckets):
-    """bucket kernels give identical results on the split/reduce
-    exchange and the Dataset.groupby fallback (the two sides of
-    GRAFT_BUCKET_EXCHANGE) — including empty inputs, n_buckets=1 (the
-    num_returns=1 unwrap quirk) and string keys."""
+    """bucket kernels on the split/reduce exchange match a pandas
+    groupby — including empty inputs, n_buckets=1 (the num_returns=1
+    unwrap quirk) and string keys."""
     import distributed_graph_computing_platform_ray.stages.join as J
 
     df = pd.DataFrame(
         {"k": [r[0] for r in rows], "s": [r[1] for r in rows], "v": [r[2] for r in rows]}
     )
-    outs = {}
-    old = J._USE_EXCHANGE
-    try:
-        for flag in (True, False):
-            J._USE_EXCHANGE = flag
-            ds = rd.from_pandas(df) if len(df) else rd.from_items([])
-            if len(df) == 0:
-                outs[flag] = pd.DataFrame({"k": [], "s": [], "v": []})
-                continue
-            got = J.bucket_sum(ds, ["k", "s"], ["v"], n_buckets=n_buckets).to_pandas()
-            outs[flag] = got.sort_values(["k", "s"]).reset_index(drop=True)
-    finally:
-        J._USE_EXCHANGE = old
-    pd.testing.assert_frame_equal(outs[True], outs[False], check_dtype=False)
-    if len(df):
-        exp = (
-            df.groupby(["k", "s"], as_index=False)["v"].sum()
-            .sort_values(["k", "s"]).reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(
-            outs[True].astype({"v": "int64"}), exp.astype({"v": "int64"}), check_dtype=False
-        )
+    ds = rd.from_pandas(df) if len(df) else rd.from_items([])
+    got = J.bucket_sum(ds, ["k", "s"], ["v"], n_buckets=n_buckets).to_pandas()
+    if len(df) == 0:
+        assert len(got) == 0
+        return
+    got = got.sort_values(["k", "s"]).reset_index(drop=True)
+    exp = (
+        df.groupby(["k", "s"], as_index=False)["v"].sum()
+        .sort_values(["k", "s"]).reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(
+        got.astype({"v": "int64"}), exp.astype({"v": "int64"}), check_dtype=False
+    )
 
 
 @given(
