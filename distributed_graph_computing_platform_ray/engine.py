@@ -5,31 +5,33 @@ superstep, 7 workers run per-vertex Compute over their partition,
 exchange messages over an N x N TCP mesh, and ACK back
 (/root/reference/master/master.go:391-453, worker/worker.go:248-318) —
 with sleeps papering over an async flush race (§2.9). Here vertex ids
-are range-partitioned into P parts, and a superstep is:
+are range-partitioned into P parts, and a partition's superstep s is
+one step (``_step_core``), the reference worker's own loop:
 
-  scatter: per partition (or per edge slice of a hub-heavy partition),
-      expand the active vertices' CSR rows into messages, ALREADY
-      combined per destination (a true combiner; the reference's
-      "combiner" only batches, never aggregates,
-      worker/worker.go:397-421), split into one chunk per destination
-      partition (``_scatter_core``);
-  apply: per partition, reduce its P inbox chunks (sum/min/vote/or)
-      and apply the vectorized update (``_apply_core``).
+  apply: reduce its P inbox chunks (sum/min/vote/or) and apply the
+      vectorized update (``_apply_core``);
+  scatter: expand the active vertices' CSR rows into the messages of
+      s + 1, ALREADY combined per destination (a true combiner; the
+      reference's "combiner" only batches, never aggregates,
+      worker/worker.go:397-421), one chunk per destination partition
+      (``_scatter_core``); a hub-heavy partition's edge slices >= 1
+      scatter on their own. At a checkpoint chunk's last superstep
+      the step writes the partition's checkpoint file instead.
 
-Two executors run these same kernels, in the same order, with
-bit-identical results; ``BSPEngine.run`` picks one per run from the
-graph's size and records the choice in ``run.json``:
+Two executors run the same steps in the same order (``_run_chunk``),
+with bit-identical results; ``BSPEngine.run`` picks one per run from
+the graph's size and records the choice in ``run.json``:
 
   local   graphs up to ``LOCAL_MAX_EDGES`` directed edges: each
-          checkpoint chunk of supersteps is ONE Ray task that loops
-          over all partitions in-process — the reference's own shape,
-          one loop per worker per superstep. Below the crossover the
-          2P tasks per superstep of the task executor cost more than
-          the kernels they run (McSherry et al., "Scalability! But at
-          what COST?", HotOS 2015).
-  tasks   bigger graphs: every superstep is P scatter tasks (more for
-          split hubs) with ``num_returns = P`` plus P apply tasks, so
-          the exchange is an exact barrier through the object store.
+          checkpoint chunk of supersteps is ONE Ray task. Below the
+          crossover the task executor's P tasks per superstep cost
+          more than the kernels they run (McSherry et al.,
+          "Scalability! But at what COST?", HotOS 2015).
+  tasks   bigger graphs: each step is a Ray task returning its state,
+          stats and P message chunks, so the exchange is an exact
+          barrier through the object store. A chunk of k supersteps is
+          P(k + 1) tasks (a scatter per partition opens it), plus one
+          scatter per extra hub slice per superstep.
 
 Checkpoint/resume: ``state/iter=K`` dirs are immutable, one
 ``part-NNNNN.parquet`` per partition, completed by a ``_DONE.json``
@@ -176,8 +178,9 @@ MAX_SCATTER_SLICES = 16
 
 # Executor crossover: a graph with at most this many directed edges
 # runs each checkpoint chunk as ONE Ray task (``_chunk_local``); above
-# it every superstep fans out as 2P tasks. Measured with PageRank-10
-# and LP-10 on perfbench/gen.py powerlaw graphs (4 parts, num_cpus=4):
+# it every superstep fans out as P step tasks. Measured (when that was
+# 2P tasks: a scatter and an apply per partition) with PageRank-10 and
+# LP-10 on perfbench/gen.py powerlaw graphs (4 parts, num_cpus=4):
 # at 100k edges the local loop was 27% faster on PR and 18% slower on
 # LP (level on the pair), at 146k LP took 1.4x as long, at 559k PR 1.7x
 # and LP 2.3x — so the limit is the largest size where local is no
@@ -185,10 +188,11 @@ MAX_SCATTER_SLICES = 16
 LOCAL_MAX_EDGES = 100_000
 
 
-def plan_scatter_slices(manifest, split_edges: int | None) -> list[int]:
+def plan_scatter_slices(manifest, split_edges: int | None = None) -> list[int]:
     """Per-partition scatter-task counts from the manifest's per-part
     edge counts (no shard I/O). 1 everywhere unless a partition's edge
-    count exceeds the cap."""
+    count exceeds the cap: ``split_edges``, else SCATTER_SPLIT_EDGES;
+    a cap of 0 disables splitting."""
     cap = SCATTER_SPLIT_EDGES if split_edges is None else int(split_edges)
     if cap <= 0:
         return [1] * manifest.n_parts
@@ -308,7 +312,10 @@ def _apply_core(manifest, algo, superstep, ids, values, msg_chunks):
     """Reduce this partition's inbox chunks (dense and/or sparse) and
     apply the update. Dense chunks carry an exact received-a-message
     mask, so has_msg is exact for every combiner (a sum that cancels
-    to 0 still counts as a message — the engine contract)."""
+    to 0 still counts as a message — the engine contract). Also returns
+    the inbox's wire rows (run.json history.msg_rows: vector length per
+    dense chunk, triples per sparse one), which show the combiner keeping
+    message volume at O(parts x part_size), not O(edges)."""
     p = int(ids[0]) // manifest.part_size
     lo, hi = manifest.part_bounds(p)
     n_local = hi - lo
@@ -321,9 +328,11 @@ def _apply_core(manifest, algo, superstep, ids, values, msg_chunks):
     dense_acc = None
     dense_has = None
     sp_d, sp_v, sp_c = [], [], []
+    wire_rows = 0
     for m in msg_chunks:
         if m is None:
             continue
+        wire_rows += len(m[1])
         if m[0] == "dense":
             vec = m[1][:n_local]
             hv = m[2][:n_local]
@@ -359,26 +368,7 @@ def _apply_core(manifest, algo, superstep, ids, values, msg_chunks):
     if getattr(algo, "wants_aggregate", False):
         kw["global_agg"] = gsum
     new_values, new_active, _ = algo.apply(values, agg, has_msg, superstep, **kw)
-    return new_values, new_active.astype(bool)
-
-
-def _chunks_wire_rows(chunks) -> int:
-    """Inbox WIRE volume of one apply task, in payload rows: dense
-    chunks count their vector length, sparse chunks their triple
-    length. This is the per-superstep object-store churn the
-    10x-scale boundedness runs record (run.json history.msg_rows) —
-    the metric that shows the combiner keeping message volume at
-    O(parts x part_size), not O(edges)."""
-    rows = 0
-    for m in chunks:
-        if m is None:
-            continue
-        if isinstance(m, tuple) and len(m) == 2 and not isinstance(m[0], str):
-            m = m[0]  # aggregator channel: (payload, global_partial)
-            if m is None:
-                continue
-        rows += len(m[1])
-    return rows
+    return new_values, new_active.astype(bool), wire_rows
 
 
 class CheckpointError(RuntimeError):
@@ -427,31 +417,57 @@ def _part_state(man, algo, iter_dir, part):
     )
 
 
+def _step_core(man, algo, s, part, state, inbox, n_slices, iter_dir):
+    """Partition ``part``'s superstep ``s``: reduce its inbox and apply,
+    then scatter slice 0 of superstep ``s + 1`` from the new state — or,
+    with ``iter_dir`` given (the chunk's last superstep), write the
+    partition's checkpoint file there instead. Returns ``((values,
+    active), (n_active, inbox wire rows), *chunks)``: P outgoing chunks,
+    none after a checkpoint."""
+    ids = np.arange(*man.part_bounds(part), dtype=np.int64)
+    values, active, rows = _apply_core(man, algo, s, ids, state[0], inbox)
+    stats = (int(active.sum()), rows)
+    if iter_dir is not None:
+        _write_part(man, iter_dir, part, values, active)
+        return (values, active), stats
+    out = _scatter_core(man, algo, s + 1, ids, values, active, 0, n_slices)
+    return (values, active), stats, *out
+
+
+def _run_chunk(slices, s0, k_steps, state, scatter, step):
+    """The one superstep order of both executors (``scatter`` and ``step``
+    return values on ``local``, object refs on ``tasks``): a scatter per
+    (partition, slice) of superstep ``s0``, then per superstep a step per
+    partition q over every chunk for q in (partition, slice) order. A
+    step's slice-0 chunks feed the next superstep; slices >= 1 scatter
+    again. Returns the new states and the chunk-final steps' stats."""
+    P = len(slices)
+    outs = [scatter(p, j, s0, state[p]) for p in range(P) for j in range(slices[p])]
+    for s in range(s0, s0 + k_steps):
+        last = s == s0 + k_steps - 1
+        steps = [step(q, s, state[q], [o[q] for o in outs], last) for q in range(P)]
+        state = [r[0] for r in steps]
+        if not last:
+            outs = [
+                steps[p][2:] if j == 0 else scatter(p, j, s + 1, state[p])
+                for p in range(P)
+                for j in range(slices[p])
+            ]
+    return state, [r[1] for r in steps]
+
+
 def _chunk_local(man, algo, superstep, k_steps, slices, state, iter_dir):
-    """``k_steps`` supersteps over all P partitions in this process, then
-    the checkpoint of iter ``superstep + k_steps``. Scatter runs for every
-    (partition, slice) and apply for every partition in the task
-    executor's order, so the results are bit-identical to it. Returns the
-    new state (a list of P ``(values, active)``) and the chunk-final
-    superstep's per-partition ``(n_active, wire rows)``."""
-    P = man.n_parts
-    ids = [np.arange(*man.part_bounds(p), dtype=np.int64) for p in range(P)]
-    for s in range(superstep, superstep + k_steps):
-        outs = [
-            _scatter_core(man, algo, s, ids[p], *state[p], j, slices[p])
-            for p in range(P)
-            for j in range(slices[p])
-        ]
-        new, stats = [], []
-        for q in range(P):
-            chunks = [o[q] for o in outs]
-            nv, na = _apply_core(man, algo, s, ids[q], state[q][0], chunks)
-            new.append((nv, na))
-            stats.append((int(na.sum()), _chunks_wire_rows(chunks)))
-        state = new
-    for p, (values, active) in enumerate(state):
-        _write_part(man, iter_dir, p, values, active)
-    return state, stats
+    """``k_steps`` supersteps over all P partitions in this process, their
+    checkpoint written into ``iter_dir``; returns a list of P ``(values,
+    active)`` and one of P ``(n_active, wire rows)``."""
+    ids = [np.arange(*man.part_bounds(p), dtype=np.int64) for p in range(man.n_parts)]
+    return _run_chunk(
+        slices, superstep, k_steps, state,
+        lambda p, j, s, st: _scatter_core(man, algo, s, ids[p], *st, j, slices[p]),
+        lambda q, s, st, inbox, last: _step_core(
+            man, algo, s, q, st, inbox, slices[q], iter_dir if last else None
+        ),
+    )
 
 
 def _core_tasks():
@@ -466,31 +482,19 @@ def _core_tasks():
         pass
 
     @ray.remote
-    def scatter_task(man, algo, superstep, part, state, slice_idx=0, n_slices=1):
-        values, active = state
-        lo, hi = man.part_bounds(part)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        out = _scatter_core(
-            man, algo, superstep, ids, values, active, slice_idx, n_slices
-        )
+    def scatter_task(man, algo, superstep, part, state, slice_idx, n_slices):
+        ids = np.arange(*man.part_bounds(part), dtype=np.int64)
+        out = _scatter_core(man, algo, superstep, ids, *state, slice_idx, n_slices)
         # num_returns == n_parts: with ONE partition Ray hands the single
-        # return through verbatim, so unwrap — otherwise apply would see
-        # the list instead of the chunk (caught by a hypothesis test on
-        # a single-vertex graph)
+        # return through verbatim, so unwrap — otherwise the step would
+        # see the list instead of the chunk (caught by a hypothesis test
+        # on a single-vertex graph)
         return out[0] if len(out) == 1 else out
 
-    @ray.remote(num_returns=2)
-    def apply_task(man, algo, superstep, part, state, *chunks):
-        values, active = state
-        lo, hi = man.part_bounds(part)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        nv, na = _apply_core(man, algo, superstep, ids, values, chunks)
-        return (nv, na), (int(na.sum()), _chunks_wire_rows(chunks))
-
     @ray.remote
-    def ckpt_task(man, part, state, iter_dir):
-        _write_part(man, iter_dir, part, *state)
-        return part
+    def step_task(man, algo, superstep, part, state, n_slices, iter_dir, *inbox):
+        # num_returns: 2 with ``iter_dir`` (the checkpoint step), else P + 2
+        return _step_core(man, algo, superstep, part, state, inbox, n_slices, iter_dir)
 
     @ray.remote(num_returns=2)
     def state_task(man, algo, iter_dir, part):
@@ -503,7 +507,7 @@ def _core_tasks():
 
     chunk_task = ray.remote(num_returns=2)(_chunk_local)
 
-    _TASKS = scatter_task, apply_task, ckpt_task, state_task, chunk_task
+    _TASKS = scatter_task, step_task, state_task, chunk_task
     return _TASKS
 
 
@@ -515,10 +519,11 @@ class BSPEngine:
     Per run it picks one of two executors with IDENTICAL kernels and
     bit-identical results (see the module docstring):
       "local"  ``n_edges_directed <= LOCAL_MAX_EDGES``: one Ray task per
-               checkpoint chunk runs every partition's supersteps and
-               writes the chunk's checkpoint files
-      "tasks"  bigger graphs: 2P Ray tasks per superstep, P checkpoint
-               writers per chunk
+               checkpoint chunk runs every partition's steps
+      "tasks"  bigger graphs: one step task per partition per superstep,
+               plus a scatter task per (partition, slice) opening each
+               chunk and per extra hub slice each superstep
+    In both, the chunk-final steps write the chunk's checkpoint files.
     ``run`` itself keeps the rest for both: ``_DONE.json`` markers,
     ``keep_iters`` pruning, convergence, history and ``run.json``.
     """
@@ -562,7 +567,6 @@ class BSPEngine:
         algo: Algorithm,
         resume: bool = False,
         checkpoint_interval: int = 1,
-        scatter_split_edges: int | None = None,
     ) -> int:
         """Run to termination; returns the final iteration index.
 
@@ -571,15 +575,13 @@ class BSPEngine:
         boundaries — sound because a converged state is a fixpoint
         (extra supersteps emit no messages and change nothing).
         ``resume=True`` continues from the newest complete checkpoint.
-        ``scatter_split_edges`` is the per-scatter edge cap for hub
-        splitting — None uses SCATTER_SPLIT_EDGES, 0 disables splitting.
         """
         import ray
 
-        _scatter_t, _apply_t, _ckpt_t, state_t, chunk_t = _core_tasks()
+        _scatter_t, _step_t, state_t, chunk_t = _core_tasks()
         man = self.manifest
         P = man.n_parts
-        slices = plan_scatter_slices(man, scatter_split_edges)
+        slices = plan_scatter_slices(man)
         local = man.n_edges_directed <= LOCAL_MAX_EDGES
 
         done = self._complete_iters() if resume else []
@@ -645,7 +647,7 @@ class BSPEngine:
                 {"superstep": s, "n_active": n_active,
                  "sec": round(time.time() - t_chunk, 3),
                  # inbox wire rows at the chunk-final superstep (see
-                 # _chunks_wire_rows): combiner-boundedness evidence
+                 # _apply_core): combiner-boundedness evidence
                  "msg_rows": msg_rows,
                  # per-PARTITION lineage metric: where the frontier lives
                  "active_per_part": nact if len(nact) <= 256 else None}
@@ -668,30 +670,23 @@ class BSPEngine:
         return s
 
     def _chunk_tasks(self, man_ref, algo_ref, s, k_steps, slices, state_refs, d):
-        """The task executor's chunk: 2P tasks per superstep, then P
-        checkpoint writers into ``d`` once the chunk-final stats are in.
-        Returns the new state refs and the per-partition stats."""
+        """``_run_chunk`` with every scatter and step a Ray task; returns
+        the new state refs and the fetched per-partition stats."""
         import ray
 
-        scatter_t, apply_t, ckpt_t, _state_t, _chunk_t = _core_tasks()
+        scatter_t, step_t, _state_t, _chunk_t = _core_tasks()
         P = self.manifest.n_parts
-        for i in range(k_steps):
-            outs = []
-            for p in range(P):
-                for j in range(slices[p]):
-                    o = scatter_t.options(num_returns=P).remote(
-                        man_ref, algo_ref, s + i, p, state_refs[p], j, slices[p]
-                    )
-                    outs.append([o] if P == 1 else o)
-            new_refs, stat_refs = [], []
-            for q in range(P):
-                chunks = [outs[t][q] for t in range(len(outs))]
-                sref, aref = apply_t.remote(
-                    man_ref, algo_ref, s + i, q, state_refs[q], *chunks
-                )
-                new_refs.append(sref)
-                stat_refs.append(aref)
-            state_refs = new_refs
-        stats = ray.get(stat_refs)
-        ray.get([ckpt_t.remote(man_ref, p, state_refs[p], d) for p in range(P)])
-        return state_refs, stats
+
+        def scatter(p, j, superstep, state):
+            o = scatter_t.options(num_returns=P).remote(
+                man_ref, algo_ref, superstep, p, state, j, slices[p]
+            )
+            return [o] if P == 1 else o
+
+        def step(q, superstep, state, inbox, last):
+            return step_t.options(num_returns=2 if last else P + 2).remote(
+                man_ref, algo_ref, superstep, q, state, slices[q], d if last else None, *inbox
+            )
+
+        state_refs, stat_refs = _run_chunk(slices, s, k_steps, state_refs, scatter, step)
+        return state_refs, ray.get(stat_refs)

@@ -54,18 +54,6 @@ def minhash_params(n_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
     return a % _MERSENNE, b % _MERSENNE
 
 
-def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """uint64[n_perm] MinHash signature of a shingle-hash set."""
-    n_perm = len(a)
-    if len(shingles) == 0:
-        return np.full(n_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    x = shingles.astype(np.uint64) % _MERSENNE
-    with np.errstate(over="ignore"):
-        # (n_perm, n_shingles) — fine for per-doc shingle counts
-        h = (a[:, None] * x[None, :] + b[:, None]) % _MERSENNE
-    return h.min(axis=1)
-
-
 def fnv1a64_gram_segments(
     words: "pa.Array | list[str]", woff: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +154,8 @@ def minhash_signatures_segments(
 ) -> np.ndarray:
     """(n_segments, n_perm) MinHash signatures — one vectorized pass
     over the concatenated shingle sets instead of a Python call per
-    document. Identical arithmetic to ``minhash_signature`` (same
-    uint64 wraparound multiply + mod M61, same empty-set fill);
+    document. Same arithmetic as ``tests/oracle.py::minhash_signature``
+    (uint64 wraparound multiply + mod M61, same empty-set fill);
     ``np.minimum.reduceat`` over segment starts replaces the per-doc
     min. Permutations are chunked so the (n_shingles, chunk)
     intermediate stays small regardless of batch size."""
@@ -198,10 +186,11 @@ def minhash_signatures_segments(
 
 def simhash64_segments(feature_hashes: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """int64[n_segments] SimHash — vectorized over the concatenated
-    per-doc feature-hash arrays. Bit-identical to ``simhash64`` per
-    segment (the ±1 accumulation is exact in both int and float;
-    empty segments hash to 0). Bits are processed 16 at a time to
-    bound the (n_features, 16) int64 intermediate."""
+    per-doc feature-hash arrays. Bit-identical to the per-doc
+    ``tests/oracle.py::simhash64`` per segment (the ±1 accumulation
+    is exact in both int and float; empty segments hash to 0). Bits
+    are processed 16 at a time to bound the (n_features, 16) int64
+    intermediate."""
     n = len(offs) - 1
     out = np.zeros(n, dtype=np.int64)
     if n == 0 or len(feature_hashes) == 0:
@@ -225,7 +214,8 @@ def simhash64_segments(feature_hashes: np.ndarray, offs: np.ndarray) -> np.ndarr
 
 def band_hashes_batch(sigs: np.ndarray, n_bands: int) -> np.ndarray:
     """(n_docs, n_bands) band hashes from (n_docs, n_perm) signatures —
-    the batched twin of ``band_hashes`` (identical FNV-style fold)."""
+    the batched twin of ``tests/oracle.py::band_hashes`` (identical
+    FNV-style fold)."""
     n, n_perm = sigs.shape
     rows = n_perm // n_bands
     view = sigs[:, : rows * n_bands].reshape(n, n_bands, rows)
@@ -234,33 +224,6 @@ def band_hashes_batch(sigs: np.ndarray, n_bands: int) -> np.ndarray:
         for r in range(rows):
             out = out * np.uint64(0x100000001B3) ^ view[:, :, r]
     return out
-
-
-def band_hashes(sig: np.ndarray, n_bands: int) -> np.ndarray:
-    """Collapse a signature into n_bands band-hashes (LSH buckets)."""
-    rows = len(sig) // n_bands
-    view = sig[: rows * n_bands].reshape(n_bands, rows)
-    out = np.zeros(n_bands, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for r in range(rows):
-            out = out * np.uint64(0x100000001B3) ^ view[:, r]
-    return out
-
-
-def simhash64(feature_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:
-    """64-bit SimHash of (hashed) features."""
-    if len(feature_hashes) == 0:
-        return 0
-    bits = ((feature_hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-        np.float64
-    )
-    w = weights if weights is not None else np.ones(len(feature_hashes))
-    acc = ((bits * 2 - 1) * w[:, None]).sum(axis=0)
-    out = np.uint64(0)
-    for j in range(64):
-        if acc[j] > 0:
-            out |= np.uint64(1) << np.uint64(j)
-    return int(out)
 
 
 def hamming64(a: np.ndarray, b) -> np.ndarray:

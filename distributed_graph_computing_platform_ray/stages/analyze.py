@@ -1,7 +1,7 @@
 """Fused page-analysis stage: the flagship training-data pipeline.
 
-One actor-pool pass over pages computing everything a pretraining
-data pipeline wants per document:
+One pass of plain Ray tasks over pages computing everything a
+pretraining data pipeline wants per document:
 
   extracted text (byte-identical invariant), outgoing link count,
   language id, quality score, whitespace + BPE-ish token counts,

@@ -161,3 +161,48 @@ def triangle_count(edges) -> tuple[int, dict[int, int]]:
                     per[v] += 1
                     per[w] += 1
     return total, dict(per)
+
+
+# Per-doc sketch references: the batched kernels in
+# functions/hashing.py must equal these one document at a time
+# (tests/test_analyze.py).
+M61 = np.uint64((1 << 61) - 1)
+
+
+def minhash_signature(shingles: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """uint64[n_perm] MinHash signature of a shingle-hash set."""
+    n_perm = len(a)
+    if len(shingles) == 0:
+        return np.full(n_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
+    x = shingles.astype(np.uint64) % M61
+    with np.errstate(over="ignore"):
+        # (n_perm, n_shingles) — fine for per-doc shingle counts
+        h = (a[:, None] * x[None, :] + b[:, None]) % M61
+    return h.min(axis=1)
+
+
+def band_hashes(sig: np.ndarray, n_bands: int) -> np.ndarray:
+    """Collapse a signature into n_bands band-hashes (LSH buckets)."""
+    rows = len(sig) // n_bands
+    view = sig[: rows * n_bands].reshape(n_bands, rows)
+    out = np.zeros(n_bands, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for r in range(rows):
+            out = out * np.uint64(0x100000001B3) ^ view[:, r]
+    return out
+
+
+def simhash64(feature_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:
+    """64-bit SimHash of (hashed) features."""
+    if len(feature_hashes) == 0:
+        return 0
+    bits = ((feature_hashes[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
+        np.float64
+    )
+    w = weights if weights is not None else np.ones(len(feature_hashes))
+    acc = ((bits * 2 - 1) * w[:, None]).sum(axis=0)
+    out = np.uint64(0)
+    for j in range(64):
+        if acc[j] > 0:
+            out |= np.uint64(1) << np.uint64(j)
+    return int(out)

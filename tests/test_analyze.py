@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 
 from distributed_graph_computing_platform_ray.functions import html as H
 from distributed_graph_computing_platform_ray.functions.hashing import (
-    band_hashes,
     band_hashes_batch,
     minhash_params,
-    minhash_signature,
     minhash_signatures_segments,
-    simhash64,
     simhash64_segments,
     unique_segments,
 )
@@ -29,6 +26,8 @@ from distributed_graph_computing_platform_ray.functions.text import (
 )
 from distributed_graph_computing_platform_ray.stages.analyze import PageAnalyze
 from distributed_graph_computing_platform_ray.utils import stable_hash_array
+
+from .oracle import band_hashes, minhash_signature, simhash64
 
 
 def _analyze_perdoc_spec(t: pa.Table, n_perm=128, n_bands=16, k=3) -> pa.Table:

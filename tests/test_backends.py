@@ -1,5 +1,6 @@
 """The two BSP executors — one local Ray task per checkpoint chunk and
-2P Ray tasks per superstep — run the same kernels in the same order, so
+one Ray step task per partition per superstep — run the same steps in
+the same order, so
 every algorithm's final state must be bit-identical between them, a
 checkpoint written by one must resume on the other, and degenerate
 graphs must match the independent oracle on both."""

@@ -1,13 +1,13 @@
 """run.json lineage must record per-chunk inbox message volume
 (msg_rows), equal on both executors — the combiner-boundedness evidence
-the 10x-scale runs archive (engine.py::_chunks_wire_rows)."""
+the 10x-scale runs archive (engine.py::_apply_core)."""
 
 import json
 import os
 import shutil
 
-from distributed_graph_computing_platform_ray.algorithms import PageRank
-from distributed_graph_computing_platform_ray.engine import BSPEngine, _chunks_wire_rows
+from distributed_graph_computing_platform_ray.algorithms import PageRank, PageRankDangling
+from distributed_graph_computing_platform_ray.engine import BSPEngine, _apply_core
 from distributed_graph_computing_platform_ray.pipelines.ingest import build_graph
 from distributed_graph_computing_platform_ray.sources.edge_list import read_edge_list
 from distributed_graph_computing_platform_ray.state.manifest import GraphManifest
@@ -39,9 +39,17 @@ def test_history_records_msg_rows(use_executor):
 
 
 def test_chunks_wire_rows_shapes():
+    """_apply_core counts an inbox's wire rows: a dense chunk's vector
+    length, a sparse chunk's triples, nothing for None, and on the
+    aggregator channel only the payload of each (payload, partial)."""
+    import types
+
     import numpy as np
 
+    man = types.SimpleNamespace(part_size=7, part_bounds=lambda p: (0, 7))
+    ids, values = np.arange(7), np.zeros(7)
     dense = ("dense", np.zeros(7), np.zeros(7, bool))
     sparse = ("sparse", np.arange(3), np.ones(3), np.ones(3, int))
-    agg = (dense, 1.5)
-    assert _chunks_wire_rows([dense, sparse, None, agg, (None, 0.0)]) == 17
+    plain = _apply_core(man, PageRank(7), 1, ids, values, [dense, sparse, None])[2]
+    agg = _apply_core(man, PageRankDangling(7), 1, ids, values, [(dense, 1.5), (None, 0.0)])[2]
+    assert (plain, agg) == (10, 7)  # 17 rows over the five cases

@@ -3,6 +3,7 @@ bit-identical final state to an unbroken run (FIXTURES.md §4)."""
 
 import os
 import shutil
+import signal
 
 import pyarrow.parquet as pq
 import pytest
@@ -69,29 +70,48 @@ def test_resume_ignores_incomplete_checkpoint(fixtures_dir):
     assert _state_bytes(f"{TMP}/crash", 12) == _state_bytes(f"{TMP}/crash_ref", 12)
 
 
-class _KillOncePageRank(PageRank):
-    """PageRank whose scatter SIGKILLs its own Ray worker process the
-    first time a given superstep runs — real mid-superstep process
-    death, not an exception. A marker file (created O_EXCL) limits the
-    kill to one task attempt, so Ray's task retry + lineage
+def _kill_once(marker):
+    """SIGKILL this Ray worker process unless ``marker`` exists: real
+    process death, not an exception. The marker (created O_EXCL) limits
+    the kill to one task attempt, so Ray's task retry + lineage
     reconstruction must finish the job."""
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return  # already killed once; retried attempt proceeds
+    os.close(fd)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _KillOncePageRank(PageRank):
+    """PageRank whose scatter (``message_base``) kills its worker
+    (``_kill_once``) the first time a given superstep runs."""
+
+    kill_in = "message_base"
 
     def __init__(self, n_vertices, num_iters, kill_marker, kill_superstep):
         super().__init__(n_vertices, num_iters=num_iters)
         self.kill_marker = kill_marker
         self.kill_superstep = kill_superstep
 
-    def message_base(self, ids, values, degrees, superstep):
-        if superstep == self.kill_superstep:
-            try:
-                fd = os.open(self.kill_marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                import signal
+    def _maybe_kill(self, hook, superstep):
+        if hook == self.kill_in and superstep == self.kill_superstep:
+            _kill_once(self.kill_marker)
 
-                os.kill(os.getpid(), signal.SIGKILL)
-            except FileExistsError:
-                pass  # already killed once; retried attempt proceeds
+    def message_base(self, ids, values, degrees, superstep):
+        self._maybe_kill("message_base", superstep)
         return super().message_base(ids, values, degrees, superstep)
+
+    def apply(self, old_values, agg, has_msg, superstep):
+        self._maybe_kill("apply", superstep)
+        return super().apply(old_values, agg, has_msg, superstep)
+
+
+class _KillOnceApplyPageRank(_KillOncePageRank):
+    """The same kill inside ``apply``: mid-step, after the inbox is
+    reduced and before the step scatters or writes its checkpoint."""
+
+    kill_in = "apply"
 
 
 @pytest.mark.parametrize("executor", ["tasks", "local"])
@@ -119,6 +139,32 @@ def test_worker_kill_mid_superstep_bit_identical(fixtures_dir, executor, use_exe
     assert _state_bytes(f"{TMP}/fault_{executor}", 8) == _state_bytes(
         f"{TMP}/fault_ref_{executor}", 8
     )
+
+
+@pytest.mark.parametrize("executor", ["tasks", "local"])
+@pytest.mark.parametrize("kill_superstep", [4, 5], ids=["then_scatter", "then_checkpoint"])
+def test_worker_kill_in_apply_bit_identical(fixtures_dir, executor, kill_superstep, use_executor):
+    """With checkpoint_interval=3 the chunk of supersteps 3-5 goes on to
+    scatter after superstep 4's apply and writes iter 6 after superstep
+    5's. A worker SIGKILLed inside either apply costs one retry of its
+    step task (or of the chunk task on the local executor), and both
+    iter 6 and the final state are bit-identical to an unbroken run."""
+    use_executor(executor)
+    man = GraphManifest.load(f"{TMP}/graph")
+    ref = f"{TMP}/apply_kill_ref_{executor}"
+    BSPEngine(man, ref).run(PageRank(man.n_vertices, num_iters=8), checkpoint_interval=3)
+
+    marker = f"{TMP}/apply_killed_{executor}_{kill_superstep}"
+    if os.path.exists(marker):
+        os.remove(marker)
+    work = f"{TMP}/apply_kill_{executor}_{kill_superstep}"
+    algo = _KillOnceApplyPageRank(
+        man.n_vertices, num_iters=8, kill_marker=marker, kill_superstep=kill_superstep
+    )
+    assert BSPEngine(man, work).run(algo, checkpoint_interval=3) == 8
+    assert os.path.exists(marker), "kill was never triggered"
+    for it in (6, 8):
+        assert _state_bytes(work, it) == _state_bytes(ref, it)
 
 
 def _drop_part(path):

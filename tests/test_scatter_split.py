@@ -3,7 +3,7 @@
 The north_rule asks for "explicit skew mitigation for high-degree hubs
 (vertex splitting/combiners)". Combining is the per-destination dense
 combiner; splitting is edge-sliced scatter: a partition whose shard
-exceeds ``scatter_split_edges`` fans its scatter out over several tasks,
+exceeds ``engine.SCATTER_SPLIT_EDGES`` fans its scatter out over several tasks,
 each expanding a disjoint CSR edge-index range (engine.plan_scatter_slices
 / _scatter_core). These tests build a star-heavy graph — one hub whose
 adjacency dominates its partition, the exact web-graph skew shape — and
@@ -16,14 +16,17 @@ assert split vs unsplit parity:
     multiplied by the slice count.
 """
 
+import json
 import os
 import shutil
 
 import numpy as np
 import pandas as pd
 import pyarrow.dataset as pads
+import pytest
 import ray.data as rd
 
+from distributed_graph_computing_platform_ray import engine
 from distributed_graph_computing_platform_ray.algorithms import (
     ConnectedComponents,
     PageRank,
@@ -61,7 +64,9 @@ def _run(man, algo, tag, split_edges):
     w = f"{TMP}/{tag}"
     shutil.rmtree(w, ignore_errors=True)
     eng = BSPEngine(man, w)
-    final = eng.run(algo, checkpoint_interval=3, scatter_split_edges=split_edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SCATTER_SPLIT_EDGES", split_edges)
+        final = eng.run(algo, checkpoint_interval=3)
     t = pads.dataset(eng.iter_dir(final)).to_table().to_pandas()
     return t.sort_values("id").reset_index(drop=True)
 
@@ -94,12 +99,30 @@ def test_pagerank_allclose_under_split(ray_session):
         a["value"].to_numpy(), b["value"].to_numpy(), rtol=0, atol=1e-9
     )
     # splitting actually happened and was recorded in lineage
-    import json
-
     run = json.load(open(f"{TMP}/pr_split/run.json"))
     assert run["scatter_slices"] is not None and max(run["scatter_slices"]) > 1
     run0 = json.load(open(f"{TMP}/pr_unsplit/run.json"))
     assert run0["scatter_slices"] is None
+
+
+@pytest.mark.parametrize("algo", ["cc", "pagerank_dangling"])
+def test_split_bit_identical_across_executors(algo, use_executor):
+    """A split hub's slices >= 1 scatter in tasks of their own on the
+    task executor and in-process on the local one; both run the same
+    order, so the same split run ends bit-identical on either, float
+    sums and the aggregator channel included."""
+    man = _star_graph()
+    make = {
+        "cc": ConnectedComponents,
+        "pagerank_dangling": lambda: PageRankDangling(man.n_vertices, num_iters=6),
+    }[algo]
+    got = {}
+    for executor in ("tasks", "local"):
+        use_executor(executor)
+        got[executor] = _run(man, make(), f"{algo}_split_{executor}", 1000)
+        run = json.load(open(f"{TMP}/{algo}_split_{executor}/run.json"))
+        assert run["executor"] == executor and max(run["scatter_slices"]) > 1
+    assert got["tasks"].equals(got["local"])
 
 
 def test_aggregator_not_multiplied_by_slices(ray_session):

@@ -46,18 +46,15 @@ def build(kind: str, n: int, hub_edges: int, n_parts: int):
 
 
 def run_pr(man, tag: str, split_edges: int, iters: int = 10) -> float:
+    from distributed_graph_computing_platform_ray import engine
     from distributed_graph_computing_platform_ray.algorithms import PageRank
-    from distributed_graph_computing_platform_ray.engine import BSPEngine
 
     w = f"/tmp/graft_skew/run_{tag}"
     shutil.rmtree(w, ignore_errors=True)
-    eng = BSPEngine(man, w)
+    eng = engine.BSPEngine(man, w)
+    engine.SCATTER_SPLIT_EDGES = split_edges
     t0 = time.time()
-    eng.run(
-        PageRank(man.n_vertices, num_iters=iters),
-        checkpoint_interval=iters,
-        scatter_split_edges=split_edges,
-    )
+    eng.run(PageRank(man.n_vertices, num_iters=iters), checkpoint_interval=iters)
     return time.time() - t0
 
 
@@ -78,7 +75,10 @@ def main():
         )
     from ray.data import DataContext
 
+    from distributed_graph_computing_platform_ray import engine
+
     DataContext.get_current().enable_progress_bars = False
+    split_cap = engine.SCATTER_SPLIT_EDGES
 
     out = {"n_vertices": n, "hub_edges": hub_edges, "n_parts": n_parts}
     for kind in ["hub", "balanced"]:
@@ -87,7 +87,7 @@ def main():
         out[f"{kind}_edges_minmax"] = [ec[0], ec[-1]]
         # warm the shard page cache so the off/on comparison is I/O-fair
         run_pr(man, f"{kind}_warm", 0, iters=2)
-        for label, cap in [("unsplit", 0), ("split", None)]:
+        for label, cap in [("unsplit", 0), ("split", split_cap)]:
             out[f"{kind}_{label}_sec"] = round(
                 min(run_pr(man, f"{kind}_{label}_{i}", cap) for i in range(2)), 2
             )
