@@ -44,6 +44,17 @@ def run_algorithm(
     return result_dataset(manifest, engine.iter_dir(final))
 
 
+def keys_of_ids(manifest: GraphManifest, ids: np.ndarray) -> pa.Array:
+    """Dense vertex ids -> their keys, read from each id's partition's
+    (cached) vertices file."""
+    keys = np.empty(len(ids), dtype=object)
+    parts = ids // manifest.part_size
+    for p in np.unique(parts):
+        sel = parts == p
+        keys[sel] = load_vertex_keys(manifest, int(p))[ids[sel] - int(p) * manifest.part_size]
+    return pa.array(keys, pa.string())
+
+
 def result_dataset(manifest: GraphManifest, state_dir: str) -> rd.Dataset:
     """Decode (id, value) -> (vertex key, value) without a shuffle.
 
@@ -55,13 +66,7 @@ def result_dataset(manifest: GraphManifest, state_dir: str) -> rd.Dataset:
     """
 
     def attach(t: pa.Table) -> pa.Table:
-        ids = t["id"].to_numpy()
-        keys = np.empty(len(ids), dtype=object)
-        for p in np.unique(ids // manifest.part_size):
-            part_keys = load_vertex_keys(manifest, int(p))
-            sel = ids // manifest.part_size == p
-            keys[sel] = part_keys[ids[sel] - int(p) * manifest.part_size]
-        return pa.table({"vertex": pa.array(keys, pa.string()), "value": t["value"]})
+        return pa.table({"vertex": keys_of_ids(manifest, t["id"].to_numpy()), "value": t["value"]})
 
     return rd.read_parquet(state_dir).map_batches(attach, batch_format="pyarrow")
 
@@ -73,12 +78,7 @@ def decode_label_values(manifest: GraphManifest, result: rd.Dataset) -> rd.Datas
 
     def attach(t: pa.Table) -> pa.Table:
         lab = t["value"].to_numpy().astype(np.int64)
-        keys = np.empty(len(lab), dtype=object)
-        for p in np.unique(lab // manifest.part_size):
-            part_keys = load_vertex_keys(manifest, int(p))
-            sel = lab // manifest.part_size == p
-            keys[sel] = part_keys[lab[sel] - int(p) * manifest.part_size]
-        return pa.table({"vertex": t["vertex"], "label": pa.array(keys, pa.string())})
+        return pa.table({"vertex": t["vertex"], "label": keys_of_ids(manifest, lab)})
 
     return result.map_batches(attach, batch_format="pyarrow")
 

@@ -3,41 +3,48 @@
 The reference loader has every worker read the whole edge file and keep
 its own partition (reference worker/worker.go:149-151, 164-199, 240).
 ``build_graph`` keeps the output of that loader (the symmetrized
-multigraph, one CSR shard per vertex-id range) and picks one of three
-builders from the edge table's row count, which the materialized table
-already holds. All three write bit-identical graph dirs; the manifest
-records which one ran (``build``):
+multigraph, one CSR shard per vertex-id range). Every graph writer here
+and in patch.py runs the same three batch functions:
+
+  1. ``encode_keys``: look both key columns up in a ``pd.Index`` of the
+     id-ordered keys ``rank_keys`` returns; a key missing from it raises
+     ``KeyError``. Distinct keys get dense ids in one fixed order — hash
+     bucket major, key order within a bucket — so ids never depend on
+     partition count or batch boundaries.
+  2. ``symmetrize``: emit both directions per input edge, matching the
+     reference's load-time undirected expansion, and tag each row with
+     its origin direction (``fwd``).
+  3. ``write_edges``: one partition's rows -> its CSR shard. With
+     ``dedup`` it first keeps one row per (src, dst, fwd[, weight])
+     (``dedup_edges``), which equals an exact dedup of the input edges
+     before symmetrize. [optional; the reference keeps duplicates —
+     multigraph — so conformance ingest sets dedup=False]
+
+``build_graph`` picks one of three builders from the edge table's row
+count, which the materialized table already holds. All three write
+bit-identical graph dirs; the manifest records which one ran
+(``build``):
 
 - ``local``: at most ``LOCAL_BUILD_MAX_ROWS`` rows. The driver reads the
-  table once and does every step below in pandas/numpy. Below this size
-  the distributed steps' fixed cost, not the data, sets the time.
+  table once and applies the three functions to the whole of it. Below
+  this size the distributed steps' fixed cost, not the data, sets the
+  time.
 - ``broadcast``: more rows, at most ``BROADCAST_DICT_LIMIT`` distinct
-  keys. The dictionary is ranked on the driver and broadcast; the edge
-  table never leaves the cluster.
-- ``join``: more keys. Every step runs distributed.
+  keys. The keys are ranked on the driver and their index broadcast;
+  steps 1-2 map over the edge batches and step 3 runs per part after
+  one range-partition exchange. The edge table never leaves the
+  cluster.
+- ``join``: more keys. The dictionary is ranked in hash buckets and
+  step 1 is two hash-partitioned joins against it (SURVEY.md §7
+  'Shuffles and their keys'); steps 2-3 as in ``broadcast``.
 
-The steps:
-
-  1. exact dedup of (src_key, dst_key) [optional; the reference keeps
-     duplicates — multigraph — so conformance ingest sets dedup=False]
-  2. key dictionary: distinct keys get dense ids in one fixed order —
-     hash bucket major, key order within a bucket (``rank_keys``). The
-     distributed form ranks within each bucket and offsets by a
-     driver-side cumsum over the n_buckets counts, so ids never depend
-     on partition count or batch boundaries.
-  3. edge encoding: a broadcast lookup, or two hash-partitioned joins
-     against the dictionary (SURVEY.md §7 'Shuffles and their keys').
-  4. symmetrization: emit both directions per input edge, matching the
-     reference's load-time undirected expansion.
-  5. per-partition CSR shard build + vertex files + manifest with
-     lineage.
-
-Scale: on the ``join`` builder steps 1-3 are one bucketed exchange each
-with per-group memory bounded by n_buckets, and step 5 is one
-range-partition exchange; the driver holds only the n_buckets-row count
-table. At 10^12 documents raise n_buckets / n_parts so groups stay ~10^6
-rows. The ``broadcast`` builder also holds the dictionary on the
-driver, and the ``local`` builder the whole (small) edge table.
+Scale: on the ``join`` builder the dictionary and each encode join are
+one bucketed exchange each with per-group memory bounded by n_buckets,
+and the CSR write is one range-partition exchange; the driver holds
+only the n_buckets-row count table. At 10^12 documents raise n_buckets /
+n_parts so groups stay ~10^6 rows. The ``broadcast`` builder also holds
+the dictionary on the driver, and the ``local`` builder the whole
+(small) edge table.
 """
 
 from __future__ import annotations
@@ -47,10 +54,12 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 from ..stages.exchange import exchange_reduce
-from ..stages.join import add_bucket, bucket_join, bucket_map_groups, _BUCKET
+from ..stages.join import add_bucket, broadcast_lookup, bucket_join, bucket_map_groups, _BUCKET
 from ..state.csr import build_shard_arrays, write_shard
 from ..state.manifest import GraphManifest
 from ..utils import atomic_write_parquet, bucket_of
@@ -65,19 +74,26 @@ BROADCAST_DICT_LIMIT = 2_000_000  # keys; ~150 MB as a pandas index
 _INT_KEY = r"[+-]?\d+"  # keys_numeric: every key parses as an integer
 
 
+def _edge_keys(t: pa.Table, src_col: str, dst_col: str) -> pa.Table:
+    """One batch's distinct endpoint keys, as strings (the dictionary's
+    key type)."""
+    s = t[src_col].combine_chunks().cast(pa.large_string())
+    d = t[dst_col].combine_chunks().cast(pa.large_string())
+    return pa.table({"key": pc.unique(pa.chunked_array([s, d]))})
+
+
 def _keys_of_edges(edges: rd.Dataset, src_col: str, dst_col: str) -> rd.Dataset:
-    def both(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    # per-batch distinct BEFORE the shuffle (combiner): endpoint keys
+    # repeat heavily (hubs), so this cuts the dictionary shuffle from
+    # 2x|edges| rows to near the unique-key count
+    return edges.map_batches(lambda t: _edge_keys(t, src_col, dst_col), batch_format="pyarrow")
 
-        s = t[src_col].combine_chunks().cast(pa.large_string())
-        d = t[dst_col].combine_chunks().cast(pa.large_string())
-        # per-batch distinct BEFORE the shuffle (combiner): endpoint
-        # keys repeat heavily (hubs), so this cuts the dictionary
-        # shuffle from 2x|edges| rows to near the unique-key count
-        u = pc.unique(pa.chunked_array([s, d]))
-        return pa.table({"key": u})
 
-    return edges.map_batches(both, batch_format="pyarrow")
+def collect_keys(keys_ds: rd.Dataset) -> np.ndarray:
+    """The distinct keys of a ``_keys_of_edges`` Dataset, on the driver."""
+    kpdf = keys_ds.to_pandas()
+    # an empty dataset has no blocks and so no 'key' column at all
+    return pd.unique(kpdf["key"].astype(str)) if "key" in kpdf.columns else np.array([], dtype=object)
 
 
 def rank_keys(keys: np.ndarray, n_buckets: int) -> tuple[np.ndarray, bool]:
@@ -91,37 +107,25 @@ def rank_keys(keys: np.ndarray, n_buckets: int) -> tuple[np.ndarray, bool]:
     return ranked["key"].to_numpy(), numeric
 
 
-def _dictionary(keys: np.ndarray, first_id: int = 0) -> rd.Dataset:
-    """(key, id) Dataset of id-ordered ``keys``, ids from ``first_id``."""
-    ids = first_id + np.arange(len(keys), dtype=np.int64)
-    return rd.from_arrow(
-        pa.table({"key": pa.array(keys, pa.large_string()), "id": pa.array(ids)})
-    ).materialize()
-
-
 def build_dictionary(edges: rd.Dataset, src_col: str, dst_col: str, n_buckets: int):
-    """Distinct endpoint keys -> (key, id) with dense deterministic ids.
+    """Distinct endpoint keys -> dense deterministic ids.
 
-    Returns (dict_ds materialized, n_vertices, keys_numeric, driver_keys).
-    Ids follow ``rank_keys``: keys sorted within their hash bucket, then
-    offset by the cumulative count of lower-numbered buckets.
-    Deterministic for any parallelism.
+    Returns (keys, n_vertices, keys_numeric, dict_ds). Ids follow
+    ``rank_keys``: keys sorted within their hash bucket, then offset by
+    the cumulative count of lower-numbered buckets. Deterministic for
+    any parallelism.
 
     When the (per-batch-deduped) key stream fits
-    ``BROADCAST_DICT_LIMIT`` the ranking happens on the driver — the
-    dictionary is about to be broadcast anyway, so if it fits the object
-    store it fits the driver — and ``driver_keys`` is the id-ordered key
-    array (callers then write the vertex files from it). Above the
-    limit a distributed rank-in-bucket pass gives the same ids and
-    ``driver_keys`` is None.
+    ``BROADCAST_DICT_LIMIT`` the ranking happens on the driver: ``keys``
+    is the id-ordered key array (callers encode against it and write
+    the vertex files from it) and ``dict_ds`` is None. Above the limit
+    a distributed rank-in-bucket pass gives the same ids as a
+    materialized (key, id) Dataset ``dict_ds``, and ``keys`` is None.
     """
     keys_ds = _keys_of_edges(edges, src_col, dst_col).materialize()
     if keys_ds.count() <= BROADCAST_DICT_LIMIT:
-        kpdf = keys_ds.to_pandas()
-        # an empty dataset has no blocks and so no 'key' column at all
-        u = pd.unique(kpdf["key"].astype(str)) if "key" in kpdf.columns else np.array([], dtype=object)
-        keys_sorted, keys_numeric = rank_keys(u, n_buckets)
-        return _dictionary(keys_sorted), len(u), keys_numeric, keys_sorted
+        keys, keys_numeric = rank_keys(collect_keys(keys_ds), n_buckets)
+        return keys, len(keys), keys_numeric, None
 
     def rank_group(g: pd.DataFrame) -> pd.DataFrame:
         u = np.sort(g["key"].unique())
@@ -160,77 +164,48 @@ def build_dictionary(edges: rd.Dataset, src_col: str, dst_col: str, n_buckets: i
         return pa.table({"key": t["key"], "id": pa.array(ids, pa.int64())})
 
     dict_ds = ranked.map_batches(assign_id, batch_format="pyarrow").materialize()
-    return dict_ds, n_vertices, n_nonnum == 0, None
+    return None, n_vertices, n_nonnum == 0, dict_ds
 
 
-def _string_keys(t: pa.Table, cols: list[str]) -> pa.Table:
-    """Key columns as strings, the dictionary's key type
-    (_keys_of_edges casts them): int64 keys would miss every lookup."""
-    for c in cols:
-        if not (pa.types.is_string(t[c].type) or pa.types.is_large_string(t[c].type)):
-            t = t.set_column(t.schema.get_field_index(c), c, t[c].cast(pa.string()))
-    return t
+def _unknown_key(key) -> KeyError:
+    return KeyError(f"edge key {key!r} is not a vertex of the graph")
 
 
-def encode_edges_broadcast(
-    edges: rd.Dataset,
-    dict_ds: rd.Dataset,
-    src_col: str,
-    dst_col: str,
-    weighted: bool = False,
-    dedup_pairs: bool = False,
-    global_dedup: bool = True,
-) -> rd.Dataset:
-    """Small-dictionary fast path: put the url->id mapping in the
-    object store ONCE (ray.put) and encode each batch with two pandas
-    map lookups — zero shuffles (vs two hash joins). Used when the
-    dictionary fits comfortably in memory; the shuffle join remains
-    the >BROADCAST_DICT_LIMIT path.
+def _raise_as_is(ds: rd.Dataset) -> rd.Dataset:
+    """Make ``ds``'s maps raise their own exception (an unknown key's
+    ``KeyError``), not Ray Data's ``UserCodeException`` wrapper. The
+    setting lives on the Dataset's context, which every Dataset mapped
+    from the same materialized root shares: call this only on Datasets
+    whose root the ingest code made itself."""
+    ds.context.raise_original_map_exception = True
+    return ds
 
-    ``global_dedup=False`` keeps only the per-batch dedup combiner and
-    leaves the GLOBAL distinct to a downstream stage that already
-    shuffles by src (build_graph fuses it into the CSR partition
-    write — same result, one less all-to-all)."""
-    import ray
 
-    mapping = dict_ds.to_pandas().set_index("key")["id"]
-    ref = ray.put(mapping)
+def encode_keys(t: pa.Table, index: pd.Index, src_col: str, dst_col: str) -> pa.Table:
+    """(src_key, dst_key[, weight]) -> (src, dst[, weight]): each key's
+    position in ``index``, the id-ordered keys ``rank_keys`` returns.
+    Keys are looked up as strings (int64 keys would otherwise miss
+    every lookup); one missing from ``index`` raises ``KeyError``."""
+    cols = {}
+    for out, c in (("src", src_col), ("dst", dst_col)):
+        keys = t[c].cast(pa.large_string()).to_numpy()
+        ids = index.get_indexer(keys)
+        if (ids < 0).any():
+            raise _unknown_key(keys[ids < 0][0])
+        cols[out] = pa.array(ids, pa.int64())
+    if "weight" in t.column_names:
+        cols["weight"] = t["weight"].cast(pa.float64())
+    return pa.table(cols)
 
-    class Encode:
-        def __init__(self):
-            self.mapping = ray.get(ref)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = _string_keys(t, [src_col, dst_col]).to_pandas()
-            if dedup_pairs:
-                # in-batch combiner only; GLOBAL dedup happens on the
-                # encoded int pairs below (one cheap int shuffle vs two
-                # string joins)
-                cols = [src_col, dst_col] + (["weight"] if weighted else [])
-                df = df.drop_duplicates(cols)
-            out = {
-                "src": self.mapping.reindex(df[src_col]).to_numpy(dtype=np.int64),
-                "dst": self.mapping.reindex(df[dst_col]).to_numpy(dtype=np.int64),
-            }
-            if weighted:
-                out["weight"] = df["weight"].to_numpy(dtype=np.float64)
-            return pa.table({k: pa.array(v) for k, v in out.items()})
-
-    # stateless task + per-worker cache: no actor-pool ramp-up
-    _ekey = ("encode", ref.hex())
-
-    def encode_batch(t: pa.Table) -> pa.Table:
-        from ..stages.taskify import worker_cached
-
-        return worker_cached(_ekey, Encode)(t)
-
-    encoded = edges.map_batches(encode_batch, batch_format="pyarrow")
-    if dedup_pairs and global_dedup:
-        from ..stages.join import distinct
-
-        cols = ["src", "dst"] + (["weight"] if weighted else [])
-        encoded = distinct(encoded, cols, n_buckets=64)
-    return encoded
+def encode_edges_broadcast(edges: rd.Dataset, keys: np.ndarray, src_col: str, dst_col: str) -> rd.Dataset:
+    """Encode against driver-held id-ordered ``keys``: their index goes
+    to the object store ONCE and every batch runs ``encode_keys`` —
+    zero shuffles (vs two hash joins). Callers pass a Dataset they
+    materialized, as the encode marks its context ``_raise_as_is``."""
+    return _raise_as_is(
+        broadcast_lookup(edges, pd.Index(keys), lambda t, index: encode_keys(t, index, src_col, dst_col))
+    )
 
 
 def encode_edges(
@@ -240,72 +215,103 @@ def encode_edges(
     dst_col: str,
     n_buckets: int,
     weighted: bool = False,
-    dedup_pairs: bool = False,
 ) -> rd.Dataset:
     """(src_key, dst_key[, weight]) -> (src, dst[, weight]) via two hash
-    joins. ``dedup_pairs`` fuses exact edge dedup into the first join
-    (pairs sharing src_key share a bucket), saving a whole shuffle.
-    Explicit schemas are threaded so no lazy shuffle is executed just
-    for column discovery."""
-    src_dict = dict_ds.map_batches(
-        lambda t: pa.table({"key": t["key"], "src": t["id"]}), batch_format="pyarrow"
-    )
-    dst_dict = dict_ds.map_batches(
-        lambda t: pa.table({"key": t["key"], "dst": t["id"]}), batch_format="pyarrow"
-    )
-    edges = edges.map_batches(lambda t: _string_keys(t, [src_col, dst_col]), batch_format="pyarrow")
+    joins against a (key, id) ``dict_ds`` — the encode for dictionaries
+    over ``BROADCAST_DICT_LIMIT``. Both are left joins, so a key missing
+    from the dictionary raises ``KeyError`` instead of dropping its
+    row. Keys join as strings on both sides. Explicit schemas are
+    threaded so no lazy shuffle is executed just for column discovery."""
+
+    def side(out: str) -> rd.Dataset:
+        return dict_ds.map_batches(
+            lambda t: pa.table({"key": t["key"].cast(pa.string()), out: t["id"].cast(pa.int64())}),
+            batch_format="pyarrow",
+        )
+
     wcols = [("weight", pa.float64())] if weighted else []
-    edges_schema = pa.schema(
-        [(src_col, pa.string()), (dst_col, pa.string()), *wcols]
-    )
-    dict_schema = lambda out: pa.schema([("key", pa.large_string()), (out, pa.int64())])  # noqa: E731
-    step1 = bucket_join(
-        edges, src_dict, left_on=src_col, right_on="key", n_buckets=n_buckets,
-        left_schema=edges_schema, right_schema=dict_schema("src"),
-        left_dedup_cols=[src_col, dst_col, *("weight",) * weighted] if dedup_pairs else None,
-    )
-    step1_schema = pa.schema(
-        [(src_col, pa.string()), (dst_col, pa.string()), *wcols, ("src", pa.int64())]
-    )
+    schema = pa.schema([(src_col, pa.string()), (dst_col, pa.string()), *wcols])
+
+    def as_schema(t: pa.Table) -> pa.Table:
+        return pa.table({f.name: t[f.name].cast(f.type) for f in schema})
+
+    def found(col: str, key_col: str, t: pa.Table) -> pa.Table:
+        # a left-join row with no dictionary match comes back null
+        # (NaN through pandas); its int ids come back float64
+        missing = pc.is_null(t[col], nan_is_null=True)
+        if pc.any(missing).as_py():
+            raise _unknown_key(t[key_col].filter(missing)[0].as_py())
+        return t.set_column(t.schema.get_field_index(col), col, t[col].cast(pa.int64()))
+
+    dict_schema = lambda out: pa.schema([("key", pa.string()), (out, pa.int64())])  # noqa: E731
+    step1 = _raise_as_is(bucket_join(
+        edges.map_batches(as_schema, batch_format="pyarrow"), side("src"),
+        left_on=src_col, right_on="key", n_buckets=n_buckets, how="left",
+        left_schema=schema, right_schema=dict_schema("src"),
+    ).map_batches(lambda t: found("src", src_col, t), batch_format="pyarrow"))
     step2 = bucket_join(
-        step1, dst_dict, left_on=dst_col, right_on="key", n_buckets=n_buckets,
-        left_schema=step1_schema, right_schema=dict_schema("dst"),
+        step1, side("dst"), left_on=dst_col, right_on="key", n_buckets=n_buckets, how="left",
+        left_schema=schema.append(pa.field("src", pa.int64())), right_schema=dict_schema("dst"),
     )
 
     def normalize(t: pa.Table) -> pa.Table:
-        # null-padded union columns come back as float64; restore int64
-        cols = {
-            "src": t["src"].cast(pa.int64()),
-            "dst": t["dst"].cast(pa.int64()),
-        }
-        if weighted:
-            cols["weight"] = t["weight"].cast(pa.float64())
-        return pa.table(cols)
+        t = found("dst", dst_col, t)
+        return t.select(["src", "dst", *("weight",) * weighted])
 
-    return step2.map_batches(normalize, batch_format="pyarrow")
+    return _raise_as_is(step2.map_batches(normalize, batch_format="pyarrow"))
 
 
-def symmetrize(edges: rd.Dataset) -> rd.Dataset:
-    """Emit (u,v) and (v,u) per input edge — reference load semantics."""
+def symmetrize(t: pa.Table) -> pa.Table:
+    """Emit (u,v) and (v,u) per encoded edge — reference load semantics —
+    tagging each row's origin direction: ``fwd`` is 1 on the input row,
+    0 on its mirror."""
+    s, d = t["src"].combine_chunks(), t["dst"].combine_chunks()
+    cols = {
+        "src": pa.chunked_array([s, d]),
+        "dst": pa.chunked_array([d, s]),
+        "fwd": pa.array(np.repeat(np.array([1, 0], dtype=np.int8), len(s))),
+    }
+    if "weight" in t.column_names:
+        w = t["weight"].combine_chunks()
+        cols["weight"] = pa.chunked_array([w, w])
+    return pa.table(cols)
 
-    def both(t: pa.Table) -> pa.Table:
-        s, d = t["src"].combine_chunks(), t["dst"].combine_chunks()
-        cols = {
-            "src": pa.chunked_array([s, d]),
-            "dst": pa.chunked_array([d, s]),
-        }
-        if "weight" in t.column_names:
-            w = t["weight"].combine_chunks()
-            cols["weight"] = pa.chunked_array([w, w])
-        return pa.table(cols)
 
-    return edges.map_batches(both, batch_format="pyarrow")
+def dedup_edges(t: pa.Table) -> pa.Table:
+    """One row per distinct (src, dst, fwd[, weight]) of ``t``.
+
+    Applied to a partition's rows it is a global dedup: every copy of a
+    row shares its src, so its partition. After ``symmetrize`` it
+    equals deduping the input edges first: only ``fwd`` tells a
+    repeated input row (collapses) from a mutual input pair
+    (u,v)+(v,u), whose directions each stay at multiplicity 2 — the
+    reference loader's behavior; a deduped self-loop keeps its row and
+    its mirror."""
+    cols = [t[c].to_numpy() for c in ("src", "dst", "fwd") if c in t.column_names]
+    if "weight" in t.column_names:
+        # weights compare as in pandas: all NaNs equal, -0.0 == 0.0
+        w = t["weight"].to_numpy()
+        cols.append(np.where(np.isnan(w), np.nan, w + 0.0).view(np.int64))
+    order = np.lexsort(cols)
+    keep = np.ones(len(order), dtype=bool)
+    if len(order):
+        keep[1:] = np.any([c[1:] != c[:-1] for c in (c[order] for c in cols)], axis=0)
+    return t.take(pa.array(order[keep]))
 
 
 def _write_csr(manifest: GraphManifest, part: int, src, dst, w) -> dict:
     """Write one part's CSR shard from its edge rows; returns its lineage row."""
     lo, hi = manifest.part_bounds(part)
     return write_shard(manifest, part, *build_shard_arrays(src, dst, w, lo, hi))
+
+
+def write_edges(manifest: GraphManifest, part: int, t: pa.Table, dedup: bool = False) -> dict:
+    """Write one part's CSR shard from its encoded rows (``dedup_edges``
+    first with ``dedup``); returns its lineage row."""
+    if dedup:
+        t = dedup_edges(t)
+    w = t["weight"].to_numpy() if manifest.weighted else None
+    return _write_csr(manifest, part, t["src"].to_numpy(), t["dst"].to_numpy(), w)
 
 
 def write_vertices(manifest: GraphManifest, part: int, keys) -> None:
@@ -339,8 +345,7 @@ def finish_manifest(manifest: GraphManifest, part_rows: list, fill=None) -> Grap
     exchange skips a part that got no out-edges, which happens only
     without symmetrize."""
     if fill is None:
-        e = np.empty(0, dtype=np.int64)
-        fill = lambda p: _write_csr(manifest, p, e, e, np.empty(0) if manifest.weighted else None)  # noqa: E731
+        fill = lambda p: write_edges(manifest, p, no_edges(manifest.weighted))  # noqa: E731
     have = {int(r["part"]) for r in part_rows}
     rows = list(part_rows) + [fill(p) for p in range(manifest.n_parts) if p not in have]
     manifest.parts = sorted(rows, key=lambda r: int(r["part"]))
@@ -382,17 +387,11 @@ def build_graph_encoded(
         build="encoded",
     )
     if symmetrize_edges:
-        edges = symmetrize(edges)
+        edges = edges.map_batches(symmetrize, batch_format="pyarrow")
 
     def write_part(part: int, t: pa.Table) -> dict:
         write_vertices(manifest, part, np.arange(*manifest.part_bounds(part)))
-        return _write_csr(
-            manifest,
-            part,
-            t["src"].to_numpy().astype(np.int64),
-            t["dst"].to_numpy().astype(np.int64),
-            t["weight"].to_numpy() if weighted else None,
-        )
+        return write_edges(manifest, part, t)
 
     # no-sort split/reduce exchange instead of groupby("part") — see
     # stages/exchange.py (same CSR bytes: build_shard_arrays lexsorts)
@@ -428,7 +427,7 @@ def build_graph(
     os.makedirs(os.path.join(graph_dir, "csr"), exist_ok=True)
 
     # materialize the key-edges once: they feed both the dictionary and
-    # the encode joins (a lazy chain would re-run extraction per consumer)
+    # the encode (a lazy chain would re-run extraction per consumer)
     edges_keys = edges_keys.materialize()
     n_rows = edges_keys.count()
     if n_rows == 0:
@@ -440,24 +439,27 @@ def build_graph(
         # 0.02-0.09 s of fixed orchestration on a 1-CPU host, more than
         # the work at this size
         build = "local"
-        cols = [src_col, dst_col] + (["weight"] if weighted else [])
-        df = edges_keys.to_pandas()[cols].astype({src_col: str, dst_col: str})
-        if dedup:
-            df = df.drop_duplicates()
+        # to_arrow_refs passes pandas blocks through when the first
+        # block is Arrow; a table can mix both (and empty column-less ones)
+        table = pa.concat_tables(
+            [
+                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b, preserve_index=False)
+                for b in ray.get(edges_keys.to_arrow_refs())
+                if len(b)
+            ],
+            promote_options="permissive",
+        )
         keys, keys_numeric = rank_keys(
-            pd.unique(pd.concat([df[src_col], df[dst_col]], ignore_index=True)), n_buckets
+            _edge_keys(table, src_col, dst_col)["key"].to_numpy(), n_buckets
         )
         n_vertices = len(keys)
     else:
-        # dedup note: exact (src,dst[,weight]) dedup is FUSED into the
-        # edge encode below — no extra shuffle. Duplicate keys don't
-        # affect the dictionary (it ranks distinct keys regardless).
         # keys_numeric: CC/LP propagate original ids as labels when
         # every key is integral ("component id = min original vertex id").
-        dict_ds, n_vertices, keys_numeric, keys = build_dictionary(
+        keys, n_vertices, keys_numeric, dict_ds = build_dictionary(
             edges_keys, src_col, dst_col, n_buckets
         )
-        build = "broadcast" if n_vertices <= BROADCAST_DICT_LIMIT else "join"
+        build = "broadcast" if keys is not None else "join"
 
     part_size, n_parts = GraphManifest.plan(graph_dir, n_vertices, n_parts)
     manifest = GraphManifest(
@@ -475,103 +477,35 @@ def build_graph(
     )
 
     if build == "local":
-        index = pd.Index(keys)
-        src = index.get_indexer(df[src_col]).astype(np.int64)
-        dst = index.get_indexer(df[dst_col]).astype(np.int64)
-        w = df["weight"].to_numpy(dtype=np.float64) if weighted else None
+        edges = encode_keys(table, pd.Index(keys), src_col, dst_col)
         if symmetrize_edges:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            w = np.concatenate([w, w]) if weighted else None
-        part_of = src // part_size
-        part_rows = []
-        for p in range(n_parts):
-            m = part_of == p
-            part_rows.append(_write_csr(manifest, p, src[m], dst[m], w[m] if weighted else None))
+            edges = symmetrize(edges)
+        part_of = edges["src"].to_numpy() // part_size
+        part_rows = [
+            write_edges(manifest, p, edges.filter(pa.array(part_of == p)), dedup) for p in range(n_parts)
+        ]
     else:
-        # The broadcast encode defers the GLOBAL pair dedup into the CSR
-        # partition write below: the CSR shuffle keys on src, so every
-        # duplicate of a pair lands in one group — one less all-to-all.
-        # (The join encode fuses dedup into its first join already.)
-        csr_dedup = dedup and build == "broadcast"
-
-        def write_csr_part(part: int, t: pa.Table) -> dict:
-            s = t["src"].to_numpy()
-            d = t["dst"].to_numpy()
-            w = t["weight"].to_numpy() if weighted else None
-            if csr_dedup:
-                # fused global dedup on (src, dst, origin-direction[,w]) —
-                # every duplicate of a directed copy shares this group
-                # (the shuffle keys on src)
-                f = (
-                    t["fwd"].to_numpy()
-                    if "fwd" in t.column_names
-                    else np.ones(len(s), dtype=np.int8)
-                )
-                order = np.lexsort((d, f, s) if not weighted else (w, d, f, s))
-                ss, dd, ff = s[order], d[order], f[order]
-                keep = np.concatenate(
-                    [[True], (ss[1:] != ss[:-1]) | (dd[1:] != dd[:-1]) | (ff[1:] != ff[:-1])]
-                )
-                if weighted:
-                    ws_ = w[order]
-                    keep[1:] |= ws_[1:] != ws_[:-1]
-                s, d = ss[keep], dd[keep]
-                w = ws_[keep] if weighted else None
-            return _write_csr(manifest, part, s, d, w)
-
         if build == "broadcast":
-            edges = encode_edges_broadcast(
-                edges_keys, dict_ds, src_col, dst_col,
-                weighted=weighted, dedup_pairs=dedup, global_dedup=False,
-            )
+            edges = encode_edges_broadcast(edges_keys, keys, src_col, dst_col)
         else:
-            edges = encode_edges(
-                edges_keys, dict_ds, src_col, dst_col, n_buckets,
-                weighted=weighted, dedup_pairs=dedup,
-            )
+            edges = encode_edges(edges_keys, dict_ds, src_col, dst_col, n_buckets, weighted=weighted)
         if symmetrize_edges:
-            if csr_dedup:
-                # tag each copy with its ORIGIN direction: the fused
-                # dedup must equal dedup-BEFORE-symmetrize, and only the
-                # flag distinguishes "mutual input links (u,v)+(v,u)"
-                # (each direction legitimately at multiplicity 2 after
-                # symmetrize — the reference loader's behavior) from
-                # "duplicate input rows" (collapse). Self-loops fall out
-                # naturally: (u,u) dedupes to one forward + one mirror.
-                def symmetrize_tag(t: pa.Table) -> pa.Table:
-                    s_, d_ = t["src"].combine_chunks(), t["dst"].combine_chunks()
-                    n = len(s_)
-                    cols = {
-                        "src": pa.chunked_array([s_, d_]),
-                        "dst": pa.chunked_array([d_, s_]),
-                        "fwd": pa.array(
-                            np.concatenate(
-                                [np.ones(n, dtype=np.int8), np.zeros(n, dtype=np.int8)]
-                            )
-                        ),
-                    }
-                    if "weight" in t.column_names:
-                        w_ = t["weight"].combine_chunks()
-                        cols["weight"] = pa.chunked_array([w_, w_])
-                    return pa.table(cols)
-
-                edges = edges.map_batches(symmetrize_tag, batch_format="pyarrow")
-            else:
-                edges = symmetrize(edges)
+            edges = edges.map_batches(symmetrize, batch_format="pyarrow")
 
         # ---- CSR shards: ONE range-partition exchange, side-write per part ----
         # raw split/reduce tasks (stages/exchange.py), NOT groupby("part"):
         # the partition id is pure arithmetic, and the Dataset groupby's
         # sort-based all-to-all pays a serial sample/sort stage the
         # exchange avoids (same rationale as the engine's superstep path).
-        # Shard bytes are identical either way — build_shard_arrays
-        # lexsorts its rows (asserted by tests/test_ingest.py's
-        # builder equality).
+        # The shuffle keys on src, so every copy of a row meets in one
+        # write_edges call and its dedup is global. Shard bytes do not
+        # depend on row order — build_shard_arrays lexsorts its rows
+        # (asserted by tests/test_ingest.py's builder equality).
         part_rows = exchange_reduce(
             edges,
             n_parts,
             lambda t: t["src"].to_numpy() // part_size,
-            write_csr_part,
+            lambda p, t: write_edges(manifest, p, t, dedup),
         )
 
     # ---- vertices/part-*.parquet: (id, key) sorted by id ----------------

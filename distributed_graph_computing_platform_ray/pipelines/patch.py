@@ -27,12 +27,17 @@ cross-batch exact dedup is the caller's job (a symmetrized build does
 not retain the directed edge multiset, so post-hoc cross dedup would
 be lossy); crawl increments are naturally disjoint by source page.
 
-Scale shape: one key shuffle (increment keys anti-joined against the
-dictionary), one rank pass over the NEW keys only, the house encode
-join (broadcast under BROADCAST_DICT_LIMIT, bucket joins above), and
-one split/reduce exchange that lands only on touched partitions.
-Nothing proportional to the OLD graph moves except the dictionary
-anti-join and the touched shards themselves.
+Scale shape: the increment is encoded with ingest's shared functions.
+While the OLD dictionary fits ``BROADCAST_DICT_LIMIT`` (read at call
+time) the driver reads its keys in id order, drops the increment's
+known keys, ranks the new ones after them and broadcasts the whole
+index to ``encode_keys``. Above it: one key shuffle (increment keys
+anti-joined against the dictionary), one rank pass over the NEW keys
+only, and the two-join ``encode_edges``. Then ``symmetrize`` and one
+split/reduce exchange that lands only on touched partitions, where
+``dedup_edges`` (the graph writer's dedup) dedups the increment's rows.
+Nothing proportional to the OLD graph moves except its dictionary keys
+(read on the driver, or anti-joined) and the touched shards themselves.
 """
 
 from __future__ import annotations
@@ -48,14 +53,16 @@ import ray.data as rd
 
 from ..stages.exchange import exchange_reduce
 from ..stages.join import add_bucket, bucket_map_groups
+from ..state.csr import load_vertex_keys
 from ..state.manifest import GraphManifest
 from ..utils import ceil_div
+from . import ingest
 from .ingest import (
-    BROADCAST_DICT_LIMIT,
-    _dictionary,
     _keys_of_edges,
     _write_csr,
     build_dictionary,
+    collect_keys,
+    dedup_edges,
     encode_edges,
     encode_edges_broadcast,
     finish_manifest,
@@ -80,6 +87,16 @@ def _reuse_part(old: GraphManifest, manifest: GraphManifest, part: int) -> dict:
     for kind in ("indptr", "indices") + (("weights",) if old.weighted else ()):
         _link(old.csr_path(part, kind), manifest.csr_path(part, kind))
     return next(r for r in old.parts if int(r["part"]) == part)
+
+
+def _driver_keys(old: GraphManifest) -> np.ndarray | None:
+    """The old graph's keys in id order when its dictionary fits
+    ``BROADCAST_DICT_LIMIT`` (the shared broadcast encode runs against
+    them), else None (the bucket-join encode runs)."""
+    if old.n_vertices > ingest.BROADCAST_DICT_LIMIT:
+        return None
+    parts = [load_vertex_keys(old, p) for p in range(old.n_parts)]
+    return np.concatenate([np.array([], dtype=object), *parts])
 
 
 def _new_keys(
@@ -148,35 +165,24 @@ def patch_graph(
     # increment's keys run as two pandas ops instead of three chained
     # Dataset executions (0.02-0.09 s of fixed orchestration each on a
     # 1-CPU host); the distributed tagged-union path remains above it
-    if old.n_vertices <= BROADCAST_DICT_LIMIT:
-        old_keys_arr = (
-            rd.read_parquet(os.path.join(graph_dir, "vertices"))
-            .select_columns(["key"])
-            .to_pandas()["key"]
-            .to_numpy()
-        ) if old.n_vertices else np.array([], dtype=object)
-        inc_keys = (
-            _keys_of_edges(new_edges_keys, src_col, dst_col).to_pandas()
-        )
-        inc_u = (
-            pd.unique(inc_keys["key"].astype(str))
-            if "key" in inc_keys.columns
-            else np.array([], dtype=object)
-        )
-        fresh_u = inc_u[~pd.Series(inc_u).isin(set(old_keys_arr.astype(str))).to_numpy()]
-        m = len(fresh_u)
-        order, new_numeric = rank_keys(fresh_u, n_buckets)
-        new_dict = _dictionary(order, old.n_vertices) if m else None
+    keys = _driver_keys(old)
+    if keys is not None:
+        inc = collect_keys(_keys_of_edges(new_edges_keys, src_col, dst_col))
+        fresh, new_numeric = rank_keys(inc[~pd.Index(inc).isin(keys)], n_buckets)
+        keys = np.concatenate([keys, fresh])
+        m = len(fresh)
     else:
-        fresh = _new_keys(new_edges_keys, graph_dir, src_col, dst_col, n_buckets)
-        degenerate = fresh.map_batches(
+        degenerate = _new_keys(new_edges_keys, graph_dir, src_col, dst_col, n_buckets).map_batches(
             lambda t: pa.table({"src_key": t["key"], "dst_key": t["key"]}),
             batch_format="pyarrow",
         )
-        new_dict, m, new_numeric, _ = build_dictionary(
+        fresh, m, new_numeric, new_dict = build_dictionary(
             degenerate, "src_key", "dst_key", n_buckets
         )
-        if m:
+        if fresh is not None:
+            ids = old.n_vertices + np.arange(m, dtype=np.int64)
+            new_dict = rd.from_arrow(pa.table({"key": pa.array(fresh, pa.string()), "id": ids}))
+        elif m:
             new_dict = new_dict.map_batches(
                 lambda t: pa.table(
                     {
@@ -200,7 +206,7 @@ def patch_graph(
         n_buckets=n_buckets,
         symmetrized=old.symmetrized,
         keys_numeric=old.keys_numeric and (m == 0 or new_numeric),
-        build="broadcast" if n_vertices <= BROADCAST_DICT_LIMIT else "join",
+        build="broadcast" if keys is not None else "join",
         source={
             "patched_from": os.path.abspath(graph_dir),
             "new_keys": int(m),
@@ -209,34 +215,23 @@ def patch_graph(
     )
 
     # ---- 2. encode + symmetrize the increment ------------------------
-    def as_kv(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"key": t["key"].cast(pa.large_string()), "id": t["id"].cast(pa.int64())}
-        )
-
-    dict_all = rd.read_parquet(os.path.join(graph_dir, "vertices")).map_batches(
-        as_kv, batch_format="pyarrow"
-    )
-    if m:
-        dict_all = dict_all.union(new_dict.map_batches(as_kv, batch_format="pyarrow"))
-    if manifest.build == "broadcast":
-        enc = encode_edges_broadcast(
-            new_edges_keys, dict_all, src_col, dst_col,
-            weighted=weighted, dedup_pairs=dedup, global_dedup=True,
-        )
+    if keys is not None:
+        enc = encode_edges_broadcast(new_edges_keys, keys, src_col, dst_col)
     else:
-        enc = encode_edges(
-            new_edges_keys, dict_all, src_col, dst_col, n_buckets,
-            weighted=weighted, dedup_pairs=dedup,
-        )
+        dict_all = rd.read_parquet(os.path.join(graph_dir, "vertices"))
+        if m:
+            dict_all = dict_all.union(new_dict)
+        enc = encode_edges(new_edges_keys, dict_all, src_col, dst_col, n_buckets, weighted=weighted)
     if old.symmetrized:
-        enc = symmetrize(enc)
+        enc = enc.map_batches(symmetrize, batch_format="pyarrow")
 
     # ---- 3. merge touched CSR partitions -----------------------------
     # first partition whose id range changes when vertices append
     grow_from = old.n_parts if m == 0 else old.n_vertices // part_size
 
     def merge_part(part: int, t: pa.Table):
+        if dedup:
+            t = dedup_edges(t)  # within the increment only
         src = t["src"].to_numpy().astype(np.int64)
         dst = t["dst"].to_numpy().astype(np.int64)
         w = t["weight"].to_numpy().astype(np.float64) if weighted else None
@@ -271,7 +266,12 @@ def patch_graph(
         return part
 
     vwritten = set()
-    if m:
+    if m and keys is not None:
+        vwritten = set(range(grow_from, n_parts))
+        for p in vwritten:
+            lo, hi = manifest.part_bounds(p)
+            write_vertices(manifest, p, keys[lo:hi])
+    elif m:
         vwritten = set(
             exchange_reduce(
                 new_dict, n_parts, lambda t: t["id"].to_numpy() // part_size, write_vpart
@@ -311,27 +311,20 @@ def delete_edges(
     os.makedirs(os.path.join(out_dir, "vertices"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "csr"), exist_ok=True)
 
-    def as_kv(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"key": t["key"].cast(pa.large_string()), "id": t["id"].cast(pa.int64())}
-        )
-
-    dict_all = rd.read_parquet(os.path.join(graph_dir, "vertices")).map_batches(
-        as_kv, batch_format="pyarrow"
-    )
-    # unknown keys would surface as nulls in the encode join; a delete
-    # for an edge the graph never had is a caller bug worth raising on
-    build = "broadcast" if old.n_vertices <= BROADCAST_DICT_LIMIT else "join"
-    if build == "broadcast":
-        enc = encode_edges_broadcast(
-            del_edges_keys, dict_all, src_col, dst_col, weighted=False
-        )
+    # a delete naming a key the graph never had is a caller bug: both
+    # encodes raise KeyError on it (the broadcast one needs a
+    # materialized input for that)
+    del_edges_keys = del_edges_keys.materialize()
+    keys = _driver_keys(old)
+    if keys is not None:
+        enc = encode_edges_broadcast(del_edges_keys, keys, src_col, dst_col)
     else:
         enc = encode_edges(
-            del_edges_keys, dict_all, src_col, dst_col, n_buckets, weighted=False
+            del_edges_keys, rd.read_parquet(os.path.join(graph_dir, "vertices")),
+            src_col, dst_col, n_buckets,
         )
     if old.symmetrized:
-        enc = symmetrize(enc)
+        enc = enc.map_batches(symmetrize, batch_format="pyarrow")
 
     manifest = GraphManifest(
         graph_dir=out_dir,
@@ -343,7 +336,7 @@ def delete_edges(
         n_buckets=n_buckets,
         symmetrized=old.symmetrized,
         keys_numeric=old.keys_numeric,
-        build=build,
+        build="broadcast" if keys is not None else "join",
         source={
             "deleted_from": os.path.abspath(graph_dir),
             **(source_info or {}),

@@ -51,15 +51,18 @@ def use_executor(monkeypatch):
 BUILDERS = {"local": (1 << 62, 1 << 62), "broadcast": (-1, 1 << 62), "join": (-1, 0)}
 
 
+def force_builder(mp: pytest.MonkeyPatch, name: str) -> None:
+    """Force build_graph's builder through ``mp``; ``broadcast`` and
+    ``join`` also force patch_graph's and delete_edges' encode."""
+    from distributed_graph_computing_platform_ray.pipelines import ingest
+
+    rows, keys = BUILDERS[name]
+    mp.setattr(ingest, "LOCAL_BUILD_MAX_ROWS", rows)
+    mp.setattr(ingest, "BROADCAST_DICT_LIMIT", keys)
+
+
 @pytest.fixture
 def use_builder(monkeypatch):
     """``use_builder("local" | "broadcast" | "join")`` forces
     build_graph's builder for every build after it in the test."""
-    from distributed_graph_computing_platform_ray.pipelines import ingest
-
-    def use(name: str) -> None:
-        rows, keys = BUILDERS[name]
-        monkeypatch.setattr(ingest, "LOCAL_BUILD_MAX_ROWS", rows)
-        monkeypatch.setattr(ingest, "BROADCAST_DICT_LIMIT", keys)
-
-    return use
+    return lambda name: force_builder(monkeypatch, name)

@@ -186,6 +186,24 @@ def test_csr_dedup_fusion_selfloops_and_dups_bit_identical(use_builder):
         assert degs["4"] == 4  # doubled self-loop + mutual (4,1) x2
         assert degs["3"] == 4  # (3,2),(3,1) + doubled self-loop
 
+    # weighted: the weight is part of the dedup key
+    weighted = pd.DataFrame(
+        {
+            "src_key": ["1", "1", "2", "2", "3"],
+            "dst_key": ["2", "2", "3", "3", "3"],
+            "weight": [1.0, 2.0, 0.5, 0.5, 4.0],
+        }
+    )  # (1,2) at two weights; (2,3,0.5) twice; weighted self-loop 3
+    mans = _build_each(use_builder, lambda: rd.from_pandas(weighted), "selfloops_w", **kw)
+    # distinct rows (1,2,1.0),(1,2,2.0),(2,3,0.5),(3,3,4.0), symmetrized
+    assert mans[0].n_edges_directed == 8
+    for man in mans[1:]:
+        _assert_same_graph(mans[0], man)
+    # a NaN weight dedups like any other value
+    nan = pd.DataFrame({"src_key": ["5", "5"], "dst_key": ["6", "6"], "weight": [np.nan, np.nan]})
+    for man in _build_each(use_builder, lambda: rd.from_pandas(nan), "nan_w", **kw):
+        assert man.n_edges_directed == 2
+
 
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_int64_keys_build_like_string_keys(use_builder, builder):
