@@ -10,13 +10,14 @@ one step (``_step_core``), the reference worker's own loop:
 
   apply: reduce its P inbox chunks (sum/min/vote/or) and apply the
       vectorized update (``_apply_core``);
-  scatter: expand the active vertices' CSR rows into the messages of
-      s + 1, ALREADY combined per destination (a true combiner; the
-      reference's "combiner" only batches, never aggregates,
-      worker/worker.go:397-421), one chunk per destination partition
-      (``_scatter_core``); a hub-heavy partition's edge slices >= 1
-      scatter on their own. At a checkpoint chunk's last superstep
-      the step writes the partition's checkpoint file instead.
+  scatter: expand the active vertices' CSR rows, in the shard's cached
+      destination order, into the messages of s + 1, ALREADY combined
+      per destination (a true combiner; the reference's "combiner"
+      only batches, never aggregates, worker/worker.go:397-421), one
+      chunk per destination partition (``_scatter_core``); a
+      hub-heavy partition's edge slices >= 1 scatter on their own.
+      At a checkpoint chunk's last superstep the step writes the
+      partition's checkpoint file instead.
 
 Two executors run the same steps in the same order (``_run_chunk``),
 with bit-identical results; ``BSPEngine.run`` picks one per run from
@@ -44,9 +45,11 @@ failure, master/master.go:431-445 — this engine loses at most
 
 Scale: per chunk, ``run`` receives only P small stats; state and
 combined messages move through the object store (spill-backed); CSR
-shards are mmap'd per worker process (state/csr.py). At 10^12
-vertices raise n_parts so each partition's state (~16 B/vertex) and
-CSR shard fit a worker heap.
+shards are mmap'd per worker process (state/csr.py). Each shard a
+worker scatters also keeps its edges in destination order, 12 B per
+edge (20 B weighted), for the graph the worker runs now only. At 10^12
+vertices raise n_parts so each partition's state (~16 B/vertex), CSR
+shard and that order fit a worker heap.
 """
 
 from __future__ import annotations
@@ -75,54 +78,91 @@ def _combine_at(algo, superstep: int) -> str:
     return fn(superstep) if fn is not None else algo.combine
 
 
+def _vote_key(d: np.ndarray, v: np.ndarray):
+    """(destination, label) rows packed into ONE int64 sort key
+    ``(d - d0) << 32 | v`` whose order is the (d, v) order, returned with
+    d0 = d.min(); None unless every label is an integer in [0, 2^32)
+    other than -0.0 and d spans less than 2^31 (negative, fractional,
+    NaN or wide labels keep ``np.lexsort((v, d))``). Rows with equal
+    keys are equal, so even an unstable sort of the key orders them as
+    the lexsort does."""
+    if len(d) == 0:
+        return None
+    d0 = d.min()
+    if (
+        d.max() - d0 >= 1 << 31
+        or not ((v >= 0) & (v < 1 << 32) & (v == np.floor(v))).all()
+        or np.signbit(v).any()
+    ):
+        return None
+    return ((d - d0).astype(np.int64) << 32) | v.astype(np.int64), d0
+
+
 def _combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
-    """In-block message combiner — deterministic (sorted) reduction.
+    """In-block message combiner over messages already in stable
+    destination order (``_scatter_core`` emits them so) — deterministic.
     Returns (dst, value, count)."""
     if len(dst) == 0:
         return dst, val, np.zeros(0, dtype=np.int64)
     if combine == "vote":
-        order = np.lexsort((val, dst))
-        d, v = dst[order], val[order]
+        packed = _vote_key(dst, val)
+        if packed is None:
+            order = np.lexsort((val, dst))
+            d, v = dst[order], val[order]
+        else:
+            key = np.sort(packed[0])
+            d, v = (key >> 32) + packed[1], (key & 0xFFFFFFFF).astype(np.float64)
         boundary = np.ones(len(d), dtype=bool)
         boundary[1:] = (d[1:] != d[:-1]) | (v[1:] != v[:-1])
         starts = np.flatnonzero(boundary)
         cnt = np.add.reduceat(np.ones(len(d), dtype=np.int64), starts)
         return d[starts], v[starts], cnt
-    order = np.argsort(dst, kind="stable")
-    d, v = dst[order], val[order]
-    boundary = np.ones(len(d), dtype=bool)
-    boundary[1:] = d[1:] != d[:-1]
+    boundary = np.ones(len(dst), dtype=bool)
+    boundary[1:] = dst[1:] != dst[:-1]
     starts = np.flatnonzero(boundary)
     if combine == "bor":
         # bitwise OR over integer-valued payloads (< 2^53, exact)
-        red = np.bitwise_or.reduceat(v.astype(np.int64), starts).astype(np.float64)
-        return d[starts], red, np.zeros(len(starts), dtype=np.int64)
+        red = np.bitwise_or.reduceat(val.astype(np.int64), starts).astype(np.float64)
+        return dst[starts], red, np.zeros(len(starts), dtype=np.int64)
     red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
-    return d[starts], red(v, starts), np.zeros(len(starts), dtype=np.int64)
+    return dst[starts], red(val, starts), np.zeros(len(starts), dtype=np.int64)
 
 
 def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
     """Cross-block final reduction into dense per-local-vertex arrays.
-    Deterministic regardless of arrival order (sorts first)."""
+    Deterministic regardless of arrival order: sorts the triples by
+    (destination, value) first. A vote then picks, per destination, the
+    label with the highest summed count, ties to the lowest label."""
     dst = dst - lo
     has = np.zeros(n_local, dtype=bool)
     if combine == "vote":
         if len(dst) == 0:
             return np.zeros(n_local), has
-        order = np.lexsort((val, dst))
+        packed = _vote_key(dst, val)
+        # the inbox is P chunks, each sorted by (d, v): a stable sort
+        # merges those runs
+        order = (
+            np.lexsort((val, dst)) if packed is None else np.argsort(packed[0], kind="stable")
+        )
         d, v, c = dst[order], val[order], cnt[order]
         boundary = np.ones(len(d), dtype=bool)
         boundary[1:] = (d[1:] != d[:-1]) | (v[1:] != v[:-1])
         starts = np.flatnonzero(boundary)
         d, v = d[starts], v[starts]
         c = np.add.reduceat(c, starts)
-        order2 = np.lexsort((v, -c, d))
-        d2, v2 = d[order2], v[order2]
-        first = np.ones(len(d2), dtype=bool)
-        first[1:] = d2[1:] != d2[:-1]
+        # rows are in (d, v) order: each d's winner is its FIRST row
+        # holding the d's highest count
+        first = np.ones(len(d), dtype=bool)
+        first[1:] = d[1:] != d[:-1]
+        gs = np.flatnonzero(first)
+        top = np.repeat(np.maximum.reduceat(c, gs), np.diff(np.append(gs, len(d))))
+        win = np.flatnonzero(c == top)
+        keep = np.ones(len(win), dtype=bool)
+        keep[1:] = d[win[1:]] != d[win[:-1]]
+        win = win[keep]
         agg = np.zeros(n_local)
-        agg[d2[first]] = v2[first]
-        has[d2[first]] = True
+        agg[d[win]] = v[win]
+        has[d[win]] = True
         return agg, has
     agg = (
         np.zeros(n_local) if combine in ("sum", "bor") else np.full(n_local, np.inf)
@@ -178,14 +218,15 @@ MAX_SCATTER_SLICES = 16
 
 # Executor crossover: a graph with at most this many directed edges
 # runs each checkpoint chunk as ONE Ray task (``_chunk_local``); above
-# it every superstep fans out as P step tasks. Measured (when that was
-# 2P tasks: a scatter and an apply per partition) with PageRank-10 and
-# LP-10 on perfbench/gen.py powerlaw graphs (4 parts, num_cpus=4):
-# at 100k edges the local loop was 27% faster on PR and 18% slower on
-# LP (level on the pair), at 146k LP took 1.4x as long, at 559k PR 1.7x
-# and LP 2.3x — so the limit is the largest size where local is no
-# slower, not the 1-CPU crossover, which lies above 559k.
-LOCAL_MAX_EDGES = 100_000
+# it every superstep fans out as P step tasks. Measured with the
+# sort-free scatter, PageRank-10 and LP-10 on perfbench/gen.py powerlaw
+# graphs (4 parts, num_cpus=4, tasks / local): at 377k edges PR 0.13 /
+# 0.08 s and LP 0.27 / 0.28 (local faster on the pair), at 468k local
+# was 4% faster on the pair in one sweep and 5% slower in another, at
+# 559k it was slower (LP 0.27 / 0.37) — so
+# the limit is the largest size where local is no slower, not the
+# 1-CPU crossover, which lies above 1.09M (README "Two executors").
+LOCAL_MAX_EDGES = 375_000
 
 
 def plan_scatter_slices(manifest, split_edges: int | None = None) -> list[int]:
@@ -205,9 +246,12 @@ def plan_scatter_slices(manifest, split_edges: int | None = None) -> list[int]:
 
 def _scatter_core(manifest, algo, superstep, ids, values, active, slice_idx=0, n_slices=1):
     """One partition's outgoing messages, pre-combined and split per
-    destination partition. With ``n_slices > 1`` this task expands only
-    CSR edge-index range [slice_idx*E//n_slices, (slice_idx+1)*E//n_slices)
-    of its shard (hub splitting; see SCATTER_SPLIT_EDGES).
+    destination partition; ``ids`` is the partition's whole id range.
+    Unsplit, the messages follow the shard's cached destination order
+    (``CSRShard.by_dst``), so no superstep sorts. With ``n_slices > 1``
+    this task expands only CSR edge-index range [slice_idx*E//n_slices,
+    (slice_idx+1)*E//n_slices) of its shard (hub splitting; see
+    SCATTER_SPLIT_EDGES) and sorts that slice's messages by destination.
 
     Returns a list with one entry per destination partition:
       None                    no messages for that partition
@@ -270,26 +314,38 @@ def _scatter_core(manifest, algo, superstep, ids, values, active, slice_idx=0, n
             elo=slice_idx * n_edges // n_slices,
             ehi=(slice_idx + 1) * n_edges // n_slices,
         )
+        # one stable sort by dst -> destination partitions are
+        # contiguous runs, each destination's messages in (source row,
+        # edge) order
+        order = np.argsort(dst, kind="stable")
+        row_per_edge, ds = row_per_edge[order], dst[order]
+        w = w[order] if w is not None else None
     else:
-        row_per_edge, dst, w = shard.gather(local)
-    if len(dst) == 0:
+        # the shard's cached destination order (state/csr.py): the same
+        # runs in the same order, sorted once per graph, not per superstep
+        row_per_edge, ds, w = shard.by_dst()
+        if len(local) < shard.n_local:
+            keep = sel[row_per_edge]
+            row_per_edge, ds = row_per_edge[keep], ds[keep]
+            w = w[keep] if w is not None else None
+            # local row -> its index among the senders (so.base's rows)
+            row_per_edge = (np.cumsum(sel) - 1)[row_per_edge]
+    if len(ds) == 0:
         return _wrap(out)
-    val = np.asarray(so.base, dtype=np.float64)[row_per_edge]
+    vs = np.asarray(so.base, dtype=np.float64)[row_per_edge]
     if so.add_edge_weight:
-        val = val + (w if w is not None else 1.0)
+        vs = vs + (w if w is not None else 1.0)
     elif so.mul_edge_weight and w is not None:
-        val = val * w
+        vs = vs * w
     elif so.max_edge_weight and w is not None:
-        val = np.maximum(val, w)
+        vs = np.maximum(vs, w)
     elif so.max_neg_edge_weight and w is not None:
-        val = np.maximum(val, -w)
+        vs = np.maximum(vs, -w)
 
-    # one global sort by dst -> destination partitions are contiguous
-    # runs; each run independently picks dense vs sparse based on ITS
-    # density, so a task allocates at most O(part_size) per touched
-    # destination instead of O(N) for the whole vertex space.
-    order = np.argsort(dst, kind="stable")
-    ds, vs = dst[order], val[order]
+    # each destination partition's run independently picks dense vs
+    # sparse based on ITS density, so a task allocates at most
+    # O(part_size) per touched destination instead of O(N) for the
+    # whole vertex space.
     bounds = np.searchsorted(ds, np.arange(n_parts + 1, dtype=np.int64) * part_size)
     for q in range(n_parts):
         lo_i, hi_i = int(bounds[q]), int(bounds[q + 1])

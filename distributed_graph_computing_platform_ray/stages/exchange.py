@@ -177,6 +177,9 @@ def exchange_map_groups(
             out = fn(t)
         if isinstance(out, pd.DataFrame):
             out = pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
+        # blocks without pandas' schema metadata: Ray cannot hash that
+        # dict when it unifies the returned blocks' schemas
+        out = out.replace_schema_metadata(None)
         return out, out.num_rows
 
     per_part = _launch_splits(ds, n_parts, part_of)

@@ -275,14 +275,20 @@ def broadcast_lookup(
 
     ``fn(batch, lookup)`` does the per-batch work. This is the 100 TB
     pattern for dimension tables / vocabularies / query matrices — no
-    shuffle, no per-batch reserialization of the small side.
+    shuffle, no per-batch reserialization of the small side. A worker
+    keeps only the newest lookup: a finished call's would otherwise stay
+    cached (up to ``ingest.BROADCAST_DICT_LIMIT`` keys) until the worker
+    exits.
     """
     ref = ray.put(mapping)
     key = ("broadcast_lookup", ref.hex())
 
     def lookup_batch(t: pa.Table) -> pa.Table:
-        from .taskify import worker_cached
+        from .taskify import _CACHE, worker_cached
 
+        if key not in _CACHE:
+            for k in [k for k in _CACHE if isinstance(k, tuple) and k[0] == key[0]]:
+                del _CACHE[k]
         return fn(t, worker_cached(key, lambda: ray.get(ref)))
 
     return ds.map_batches(lookup_batch, batch_format="pyarrow")

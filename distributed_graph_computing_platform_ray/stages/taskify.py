@@ -15,6 +15,8 @@ must be unique per distinct state (broadcast ObjectRef hex, class
 name + kwargs) — the cache is process-global and never evicted, which
 is safe because entries are small handles to object-store data, not
 copies of it (ray.get of a plasma object is shared-memory backed).
+The exception is ``stages/join.py::broadcast_lookup``, whose entries
+are built indexes; it keeps only the newest one.
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ runtime. Plain stateless tasks run in Ray's long-lived default worker
 processes, so a module-level dict keyed by (graph_dir, part) stays warm
 across supersteps for free. (Stages that hold *per-execution* state —
 extraction, ANN — do use callable-class actor pools.)
+
+Each cached shard also keeps its edges in stable destination order
+(``CSRShard.by_dst``), built on the first unsplit scatter, so no
+superstep sorts its messages (engine._scatter_core). That costs 12 B
+per edge (int32 source row + int64 destination; weighted graphs add
+8 B for the weight), and a process keeps it for ONE graph only: the
+first ``load_shard`` of another graph drops every other graph's
+orders, as does a rebuild of the same part at the same path.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ class CSRShard:
     weight is the constant 1 (/root/reference/worker/worker.go:165,199).
     """
 
-    __slots__ = ("part", "lo", "hi", "indptr", "indices", "weights", "_wdeg")
+    __slots__ = ("part", "lo", "hi", "indptr", "indices", "weights", "_wdeg", "_by_dst")
 
     def __init__(self, part, lo, hi, indptr, indices, weights=None):
         self.part = part
@@ -45,6 +53,7 @@ class CSRShard:
         self.indices = indices
         self.weights = weights
         self._wdeg = None
+        self._by_dst = None
 
     @property
     def n_local(self) -> int:
@@ -69,6 +78,24 @@ class CSRShard:
                     out[nonempty] = sums
                 self._wdeg = out
         return self._wdeg
+
+    def by_dst(self):
+        """The shard's edges in STABLE destination order: ``(rows, dst,
+        weights|None)``, per edge its source's local row, its global
+        destination id and its weight. Equal destinations keep CSR order,
+        (source row, edge), the order a stable sort of a ``gather`` gives,
+        and masking the edges by their rows keeps it. Computed once per
+        shard and cached (see the module docstring for its memory)."""
+        if self._by_dst is None:
+            ind = np.asarray(self.indices)
+            order = np.argsort(ind, kind="stable")
+            rows = np.repeat(
+                np.arange(self.n_local, dtype=np.int32 if self.n_local < 1 << 31 else np.int64),
+                np.diff(self.indptr),
+            )
+            w = None if self.weights is None else np.asarray(self.weights)[order]
+            self._by_dst = (rows[order], ind[order], w)
+        return self._by_dst
 
     def gather(self, local_ids: np.ndarray, elo: int | None = None, ehi: int | None = None):
         """Vectorized neighbor expansion for a set of local ids.
@@ -143,6 +170,7 @@ def write_shard(manifest: GraphManifest, part: int, indptr, indices, weights=Non
 # process-level shard cache (see module docstring for why not actors)
 
 _SHARD_CACHE: dict[tuple[str, int, int], CSRShard] = {}
+_ORDERED_GRAPH = None  # the graph_dir whose CSRShard.by_dst orders are kept
 _VERTEX_KEY_CACHE: dict[tuple[str, int, int], "np.ndarray"] = {}
 
 
@@ -151,8 +179,16 @@ def load_shard(manifest: GraphManifest, part: int) -> CSRShard:
     # the SAME path within one Ray session (e.g. minhash_dedup's
     # rmtree+rebuild of its pair graph) must never be served stale from
     # a long-lived worker's cache.
+    global _ORDERED_GRAPH
     key = (manifest.graph_dir, part, manifest.part_fingerprint(part))
     shard = _SHARD_CACHE.get(key)
+    if shard is None or key[0] != _ORDERED_GRAPH:
+        # keep destination orders for this graph only: drop those of
+        # every other graph and of this part's older builds
+        for k, sh in _SHARD_CACHE.items():
+            if k[0] != key[0] or (k[1] == part and k != key):
+                sh._by_dst = None
+        _ORDERED_GRAPH = key[0]
     if shard is None:
         lo, hi = manifest.part_bounds(part)
         indptr = np.load(manifest.csr_path(part, "indptr"), mmap_mode="r")

@@ -206,3 +206,118 @@ def simhash64(feature_hashes: np.ndarray, weights: np.ndarray | None = None) -> 
         if acc[j] > 0:
             out |= np.uint64(1) << np.uint64(j)
     return int(out)
+
+
+# Message-kernel references: the engine's sort-free scatter
+# (engine._scatter_core over CSRShard.by_dst), its presorted
+# _combine_block and its packed-key vote reduction must equal these
+# gather + stable-argsort and two-lexsort kernels exactly
+# (tests/test_scatter_kernels.py).
+
+
+def combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
+    """Sort-then-combine one block of messages: (dst, value, count)."""
+    if len(dst) == 0:
+        return dst, val, np.zeros(0, dtype=np.int64)
+    if combine == "vote":
+        order = np.lexsort((val, dst))
+        d, v = dst[order], val[order]
+        boundary = np.ones(len(d), dtype=bool)
+        boundary[1:] = (d[1:] != d[:-1]) | (v[1:] != v[:-1])
+        starts = np.flatnonzero(boundary)
+        cnt = np.add.reduceat(np.ones(len(d), dtype=np.int64), starts)
+        return d[starts], v[starts], cnt
+    order = np.argsort(dst, kind="stable")
+    d, v = dst[order], val[order]
+    boundary = np.ones(len(d), dtype=bool)
+    boundary[1:] = d[1:] != d[:-1]
+    starts = np.flatnonzero(boundary)
+    if combine == "bor":
+        red = np.bitwise_or.reduceat(v.astype(np.int64), starts).astype(np.float64)
+        return d[starts], red, np.zeros(len(starts), dtype=np.int64)
+    red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
+    return d[starts], red(v, starts), np.zeros(len(starts), dtype=np.int64)
+
+
+def reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
+    """Final inbox reduction; a vote sorts by (d, v), sums the counts,
+    then lexsorts by (d, -count, v) and takes each d's first row."""
+    dst = dst - lo
+    has = np.zeros(n_local, dtype=bool)
+    if combine == "vote":
+        if len(dst) == 0:
+            return np.zeros(n_local), has
+        order = np.lexsort((val, dst))
+        d, v, c = dst[order], val[order], cnt[order]
+        boundary = np.ones(len(d), dtype=bool)
+        boundary[1:] = (d[1:] != d[:-1]) | (v[1:] != v[:-1])
+        starts = np.flatnonzero(boundary)
+        d, v = d[starts], v[starts]
+        c = np.add.reduceat(c, starts)
+        order2 = np.lexsort((v, -c, d))
+        d2, v2 = d[order2], v[order2]
+        first = np.ones(len(d2), dtype=bool)
+        first[1:] = d2[1:] != d2[:-1]
+        agg = np.zeros(n_local)
+        agg[d2[first]] = v2[first]
+        has[d2[first]] = True
+        return agg, has
+    agg = np.zeros(n_local) if combine in ("sum", "bor") else np.full(n_local, np.inf)
+    if len(dst) == 0:
+        return agg, has
+    order = np.lexsort((val, dst))
+    d, v = dst[order], val[order]
+    boundary = np.ones(len(d), dtype=bool)
+    boundary[1:] = d[1:] != d[:-1]
+    starts = np.flatnonzero(boundary)
+    if combine == "bor":
+        agg[d[starts]] = np.bitwise_or.reduceat(v.astype(np.int64), starts).astype(np.float64)
+    else:
+        red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
+        agg[d[starts]] = red(v, starts)
+    has[d[starts]] = True
+    return agg, has
+
+
+def scatter_chunks(manifest, part: int, combine: str, sel: np.ndarray, so) -> list:
+    """One partition's unsplit scatter by gathering the senders' CSR rows
+    and stable-sorting the messages by destination: per destination
+    partition None, ("dense", vec, has) or ("sparse", d, v, c). ``sel``
+    marks the senders among the partition's vertices, ``so`` is their
+    ScatterOut."""
+    from distributed_graph_computing_platform_ray.state.csr import load_shard
+
+    out = [None] * manifest.n_parts
+    shard = load_shard(manifest, part)
+    row_per_edge, dst, w = shard.gather(np.flatnonzero(sel))
+    if len(dst) == 0:
+        return out
+    val = np.asarray(so.base, dtype=np.float64)[row_per_edge]
+    if so.add_edge_weight:
+        val = val + (w if w is not None else 1.0)
+    elif so.mul_edge_weight and w is not None:
+        val = val * w
+    elif so.max_edge_weight and w is not None:
+        val = np.maximum(val, w)
+    elif so.max_neg_edge_weight and w is not None:
+        val = np.maximum(val, -w)
+    order = np.argsort(dst, kind="stable")
+    ds, vs = dst[order], val[order]
+    ps = manifest.part_size
+    bounds = np.searchsorted(ds, np.arange(manifest.n_parts + 1, dtype=np.int64) * ps)
+    for q in range(manifest.n_parts):
+        a, b = int(bounds[q]), int(bounds[q + 1])
+        if b <= a:
+            continue
+        qlo, qhi = manifest.part_bounds(q)
+        seg_d, seg_v = ds[a:b], vs[a:b]
+        if combine == "sum" and (b - a) >= (qhi - qlo) // 4:
+            loc = seg_d - qlo
+            out[q] = (
+                "dense",
+                np.bincount(loc, weights=seg_v, minlength=qhi - qlo),
+                np.bincount(loc, minlength=qhi - qlo) > 0,
+            )
+        else:
+            out[q] = ("sparse", *combine_block(combine, seg_d, seg_v))
+    return out

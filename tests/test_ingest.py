@@ -236,3 +236,26 @@ def test_empty_edge_table_raises(use_builder, builder):
     for tag, edges in (("typed", rd.from_pandas(typed)), ("blockless", rd.from_items([]))):
         with pytest.raises(ValueError, match="empty edge input — no vertices"):
             build_graph(edges, f"{TMP}/empty_{tag}_{builder}")
+
+
+def test_broadcast_lookup_keeps_one_index_per_worker():
+    """broadcast_lookup caches its lookup in every worker that maps a
+    batch; a worker keeps only the newest, so four broadcast builds do
+    not pin four key indexes (each may be ingest.BROADCAST_DICT_LIMIT
+    keys) for the worker's lifetime."""
+    import pyarrow as pa
+
+    from distributed_graph_computing_platform_ray.stages.join import broadcast_lookup
+
+    def cached(t, index):
+        from distributed_graph_computing_platform_ray.stages.taskify import _CACHE
+
+        n = sum(isinstance(k, tuple) and k[0] == "broadcast_lookup" for k in _CACHE)
+        return pa.table({"pid": [os.getpid()], "n": [n], "key": [index[0]]})
+
+    seen = []
+    for i in range(4):
+        ds = broadcast_lookup(rd.from_items([{"x": i}]), pd.Index([f"k{i}"]), cached)
+        seen += ds.to_pandas().to_dict("records")
+    assert [r["key"] for r in seen] == ["k0", "k1", "k2", "k3"]
+    assert max(r["n"] for r in seen) == 1, seen
