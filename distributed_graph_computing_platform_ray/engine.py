@@ -14,8 +14,9 @@ one step (``_step_core``), the reference worker's own loop:
       destination order, into the messages of s + 1, ALREADY combined
       per destination (a true combiner; the reference's "combiner"
       only batches, never aggregates, worker/worker.go:397-421), one
-      chunk per destination partition (``_scatter_core``); a
-      hub-heavy partition's edge slices >= 1 scatter on their own.
+      chunk per destination partition (``_scatter_core``). A
+      hub-heavy partition cuts that order into edge slices, and its
+      slices >= 1 scatter on their own.
       At a checkpoint chunk's last superstep the step writes the
       partition's checkpoint file instead.
 
@@ -129,10 +130,14 @@ def _combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
 
 
 def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
-    """Cross-block final reduction into dense per-local-vertex arrays.
-    Deterministic regardless of arrival order: sorts the triples by
-    (destination, value) first. A vote then picks, per destination, the
-    label with the highest summed count, ties to the lowest label."""
+    """Cross-block final reduction of the sparse triples into dense
+    per-local-vertex arrays, whatever the triples' arrival order: ``min``
+    and ``bor`` fold them in place (``ufunc.at``), and ``sum`` sorts
+    them by (destination, value) first, so its float sums do not depend
+    on that order either.
+    A vote picks, per destination, the label with the highest summed
+    count, ties to the lowest label. Dense chunks are added by
+    ``_apply_core``, in arrival order."""
     dst = dst - lo
     has = np.zeros(n_local, dtype=bool)
     if combine == "vote":
@@ -164,24 +169,27 @@ def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
         agg[d[win]] = v[win]
         has[d[win]] = True
         return agg, has
-    agg = (
-        np.zeros(n_local) if combine in ("sum", "bor") else np.full(n_local, np.inf)
-    )
-    if len(dst) == 0:
-        return agg, has
-    order = np.lexsort((val, dst))
-    d, v = dst[order], val[order]
-    boundary = np.ones(len(d), dtype=bool)
-    boundary[1:] = d[1:] != d[:-1]
-    starts = np.flatnonzero(boundary)
-    if combine == "bor":
-        agg[d[starts]] = np.bitwise_or.reduceat(v.astype(np.int64), starts).astype(
-            np.float64
-        )
+    if combine == "min":
+        agg = np.full(n_local, np.inf)
+        np.minimum.at(agg, dst, val)
+        # a zero minimum is -0.0 if any -0.0 arrived (IEEE 754
+        # ``minimum``), whichever zero ``minimum.at`` kept last
+        z = dst[(val == 0) & np.signbit(val)]
+        agg[z[agg[z] == 0]] = -0.0
+    elif combine == "bor":
+        # bitwise OR over integer-valued payloads (< 2^53, exact)
+        acc = np.zeros(n_local, dtype=np.int64)
+        np.bitwise_or.at(acc, dst, val.astype(np.int64))
+        agg = acc.astype(np.float64)
     else:
-        red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
-        agg[d[starts]] = red(v, starts)
-    has[d[starts]] = True
+        agg = np.zeros(n_local)
+        order = np.lexsort((val, dst))
+        d, v = dst[order], val[order]
+        boundary = np.ones(len(d), dtype=bool)
+        boundary[1:] = d[1:] != d[:-1]
+        starts = np.flatnonzero(boundary)
+        agg[d[starts]] = np.add.reduceat(v, starts)
+    has[dst] = True
     return agg, has
 
 
@@ -202,7 +210,8 @@ def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
 # Hub/skew mitigation (the north_rule's "vertex splitting"): a
 # partition whose CSR shard holds more than this many directed edges
 # scatters as ceil(n_edges / SCATTER_SPLIT_EDGES) tasks (capped at 16),
-# each expanding a disjoint CSR edge-index range — so one web-scale hub
+# each taking a disjoint range of the shard's cached destination order
+# (``CSRShard.by_dst``), no copy and no sort — so one web-scale hub
 # whose adjacency dominates its partition no longer serializes the
 # superstep behind a single straggler task. Apply-side reduction is
 # chunk-shape-agnostic (it already sums chunks from P source
@@ -229,17 +238,15 @@ MAX_SCATTER_SLICES = 16
 LOCAL_MAX_EDGES = 375_000
 
 
-def plan_scatter_slices(manifest, split_edges: int | None = None) -> list[int]:
+def plan_scatter_slices(manifest) -> list[int]:
     """Per-partition scatter-task counts from the manifest's per-part
     edge counts (no shard I/O). 1 everywhere unless a partition's edge
-    count exceeds the cap: ``split_edges``, else SCATTER_SPLIT_EDGES;
-    a cap of 0 disables splitting."""
-    cap = SCATTER_SPLIT_EDGES if split_edges is None else int(split_edges)
-    if cap <= 0:
+    count exceeds SCATTER_SPLIT_EDGES; a cap of 0 disables splitting."""
+    if SCATTER_SPLIT_EDGES <= 0:
         return [1] * manifest.n_parts
     ec = {int(r["part"]): int(r.get("n_edges", 0)) for r in manifest.parts}
     return [
-        min(MAX_SCATTER_SLICES, max(1, -(-ec.get(p, 0) // cap)))
+        min(MAX_SCATTER_SLICES, max(1, -(-ec.get(p, 0) // SCATTER_SPLIT_EDGES)))
         for p in range(manifest.n_parts)
     ]
 
@@ -247,11 +254,12 @@ def plan_scatter_slices(manifest, split_edges: int | None = None) -> list[int]:
 def _scatter_core(manifest, algo, superstep, ids, values, active, slice_idx=0, n_slices=1):
     """One partition's outgoing messages, pre-combined and split per
     destination partition; ``ids`` is the partition's whole id range.
-    Unsplit, the messages follow the shard's cached destination order
-    (``CSRShard.by_dst``), so no superstep sorts. With ``n_slices > 1``
-    this task expands only CSR edge-index range [slice_idx*E//n_slices,
-    (slice_idx+1)*E//n_slices) of its shard (hub splitting; see
-    SCATTER_SPLIT_EDGES) and sorts that slice's messages by destination.
+    The messages follow the shard's cached destination order
+    (``CSRShard.by_dst``), so no superstep sorts. This call takes
+    entries [slice_idx*E//n_slices, (slice_idx+1)*E//n_slices) of that
+    order, the whole of it when unsplit (hub splitting; see
+    SCATTER_SPLIT_EDGES), and only slice 0 carries the aggregator
+    partial.
 
     Returns a list with one entry per destination partition:
       None                    no messages for that partition
@@ -307,29 +315,20 @@ def _scatter_core(manifest, algo, superstep, ids, values, active, slice_idx=0, n
         so = algo.message_base(sel_ids, values[sel], degs, superstep, keys=keys)
     else:
         so = algo.message_base(sel_ids, values[sel], degs, superstep)
-    if n_slices > 1:
-        n_edges = int(shard.indptr[-1]) if len(shard.indptr) else 0
-        row_per_edge, dst, w = shard.gather(
-            local,
-            elo=slice_idx * n_edges // n_slices,
-            ehi=(slice_idx + 1) * n_edges // n_slices,
-        )
-        # one stable sort by dst -> destination partitions are
-        # contiguous runs, each destination's messages in (source row,
-        # edge) order
-        order = np.argsort(dst, kind="stable")
-        row_per_edge, ds = row_per_edge[order], dst[order]
-        w = w[order] if w is not None else None
-    else:
-        # the shard's cached destination order (state/csr.py): the same
-        # runs in the same order, sorted once per graph, not per superstep
-        row_per_edge, ds, w = shard.by_dst()
-        if len(local) < shard.n_local:
-            keep = sel[row_per_edge]
-            row_per_edge, ds = row_per_edge[keep], ds[keep]
-            w = w[keep] if w is not None else None
-            # local row -> its index among the senders (so.base's rows)
-            row_per_edge = (np.cumsum(sel) - 1)[row_per_edge]
+    # slice ``slice_idx`` of the shard's cached destination order
+    # (state/csr.py): destination partitions are contiguous runs, each
+    # destination's messages in (source row, edge) order, sorted once
+    # per graph, not per superstep
+    rows, dst, w = shard.by_dst()
+    e_lo, e_hi = slice_idx * len(dst) // n_slices, (slice_idx + 1) * len(dst) // n_slices
+    row_per_edge, ds = rows[e_lo:e_hi], dst[e_lo:e_hi]
+    w = w[e_lo:e_hi] if w is not None else None
+    if len(local) < shard.n_local:
+        keep = sel[row_per_edge]
+        row_per_edge, ds = row_per_edge[keep], ds[keep]
+        w = w[keep] if w is not None else None
+        # local row -> its index among the senders (so.base's rows)
+        row_per_edge = (np.cumsum(sel) - 1)[row_per_edge]
     if len(ds) == 0:
         return _wrap(out)
     vs = np.asarray(so.base, dtype=np.float64)[row_per_edge]

@@ -18,12 +18,14 @@ across supersteps for free. (Stages that hold *per-execution* state —
 extraction, ANN — do use callable-class actor pools.)
 
 Each cached shard also keeps its edges in stable destination order
-(``CSRShard.by_dst``), built on the first unsplit scatter, so no
-superstep sorts its messages (engine._scatter_core). That costs 12 B
-per edge (int32 source row + int64 destination; weighted graphs add
-8 B for the weight), and a process keeps it for ONE graph only: the
-first ``load_shard`` of another graph drops every other graph's
-orders, as does a rebuild of the same part at the same path.
+(``CSRShard.by_dst``), built on the shard's first scatter, so no
+superstep sorts its messages (engine._scatter_core); a hub partition's
+scatter slices are ranges of that order. That costs 12 B per edge
+(int32 source row + int64 destination; weighted graphs add 8 B for the
+weight), for the WHOLE shard in every process that scatters any of its
+slices, and a process keeps it for ONE graph only: the first
+``load_shard`` of another graph drops every other graph's orders, as
+does a rebuild of the same part at the same path.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class CSRShard:
         """The shard's edges in STABLE destination order: ``(rows, dst,
         weights|None)``, per edge its source's local row, its global
         destination id and its weight. Equal destinations keep CSR order,
-        (source row, edge), the order a stable sort of a ``gather`` gives,
-        and masking the edges by their rows keeps it. Computed once per
-        shard and cached (see the module docstring for its memory)."""
+        (source row, edge), and masking the edges by their rows or slicing
+        the arrays keeps it. Computed once per shard and cached (see the
+        module docstring for its memory)."""
         if self._by_dst is None:
             ind = np.asarray(self.indices)
             order = np.argsort(ind, kind="stable")
@@ -96,38 +98,6 @@ class CSRShard:
             w = None if self.weights is None else np.asarray(self.weights)[order]
             self._by_dst = (rows[order], ind[order], w)
         return self._by_dst
-
-    def gather(self, local_ids: np.ndarray, elo: int | None = None, ehi: int | None = None):
-        """Vectorized neighbor expansion for a set of local ids.
-
-        Returns (row_index_per_edge, dst_global, weight_per_edge|None):
-        one entry per adjacency slot of the requested rows, with no
-        Python-level per-row loop.
-
-        ``elo``/``ehi`` optionally restrict the expansion to the CSR
-        edge-index range [elo, ehi): each row's slice is clipped to the
-        range, so a caller can split one partition's scatter across
-        several tasks by edge count — the hub/skew mitigation path
-        (engine._scatter_core). A vertex whose adjacency straddles a
-        boundary contributes its edges to BOTH slices, disjointly.
-        """
-        starts = self.indptr[local_ids]
-        if elo is not None:
-            ends = np.clip(self.indptr[local_ids + 1], elo, ehi)
-            starts = np.clip(starts, elo, ehi)
-            lens = (ends - starts).astype(np.int64)
-        else:
-            lens = (self.indptr[local_ids + 1] - starts).astype(np.int64)
-        total = int(lens.sum())
-        if total == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e, (np.empty(0) if self.weights is not None else None)
-        # offs[j] walks each row's slice [start, start+len) consecutively
-        row_per_edge = np.repeat(np.arange(len(local_ids), dtype=np.int64), lens)
-        cum = np.cumsum(lens) - lens
-        offs = np.repeat(starts, lens) + (np.arange(total, dtype=np.int64) - np.repeat(cum, lens))
-        w = self.weights[offs] if self.weights is not None else None
-        return row_per_edge, self.indices[offs], w
 
 
 def build_shard_arrays(src: np.ndarray, dst: np.ndarray, weight, lo: int, hi: int):

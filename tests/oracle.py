@@ -210,9 +210,9 @@ def simhash64(feature_hashes: np.ndarray, weights: np.ndarray | None = None) -> 
 
 # Message-kernel references: the engine's sort-free scatter
 # (engine._scatter_core over CSRShard.by_dst), its presorted
-# _combine_block and its packed-key vote reduction must equal these
-# gather + stable-argsort and two-lexsort kernels exactly
-# (tests/test_scatter_kernels.py).
+# _combine_block, its packed-key vote reduction and its in-place min/bor
+# reductions must equal these gather + stable-argsort and lexsort
+# kernels exactly (tests/test_scatter_kernels.py).
 
 
 def combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
@@ -272,9 +272,15 @@ def reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):
     starts = np.flatnonzero(boundary)
     if combine == "bor":
         agg[d[starts]] = np.bitwise_or.reduceat(v.astype(np.int64), starts).astype(np.float64)
+    elif combine == "min":
+        r = np.minimum.reduceat(v, starts)
+        # which of 0.0 / -0.0 minimum.reduceat keeps depends on its SIMD
+        # lanes: a zero minimum is -0.0 if the run holds one
+        neg0 = np.logical_or.reduceat((v == 0) & np.signbit(v), starts)
+        r[(r == 0) & neg0] = -0.0
+        agg[d[starts]] = r
     else:
-        red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
-        agg[d[starts]] = red(v, starts)
+        agg[d[starts]] = np.add.reduceat(v, starts)
     has[d[starts]] = True
     return agg, has
 
@@ -289,7 +295,12 @@ def scatter_chunks(manifest, part: int, combine: str, sel: np.ndarray, so) -> li
 
     out = [None] * manifest.n_parts
     shard = load_shard(manifest, part)
-    row_per_edge, dst, w = shard.gather(np.flatnonzero(sel))
+    ip = np.asarray(shard.indptr)
+    senders = np.flatnonzero(sel)
+    row_per_edge = np.repeat(np.arange(len(senders)), ip[senders + 1] - ip[senders])
+    slots = np.concatenate([np.arange(ip[r], ip[r + 1]) for r in senders] + [np.zeros(0, int)])
+    dst = np.asarray(shard.indices)[slots]
+    w = None if shard.weights is None else np.asarray(shard.weights)[slots]
     if len(dst) == 0:
         return out
     val = np.asarray(so.base, dtype=np.float64)[row_per_edge]

@@ -1,6 +1,7 @@
 """Checkpoint/resume: killing a run mid-way and resuming must produce
 bit-identical final state to an unbroken run (FIXTURES.md §4)."""
 
+import json
 import os
 import shutil
 import signal
@@ -197,6 +198,33 @@ def test_resume_from_damaged_checkpoint_fails_loudly(fixtures_dir, executor, dam
     damage(path)
     with pytest.raises(CheckpointError, match="part-00002.parquet"):
         eng.run(PageRank(man.n_vertices, num_iters=6), resume=True, checkpoint_interval=2)
+
+
+@pytest.mark.parametrize("executor", ["tasks", "local"])
+def test_resume_past_garbage_done_marker(fixtures_dir, executor, use_executor):
+    """Resume reads only whether an iter's _DONE.json exists, never what
+    it holds: with garbage bytes in the newest marker the run resumes
+    from that iter (whose parts ``_check_checkpoint`` still checks), and
+    the final part files are byte-identical to an unbroken run's."""
+    use_executor(executor)
+    man = GraphManifest.load(f"{TMP}/graph")
+    ref = BSPEngine(man, f"{TMP}/garbage_done_ref_{executor}")
+    ref.run(PageRank(man.n_vertices, num_iters=8), checkpoint_interval=2)
+
+    work = f"{TMP}/garbage_done_{executor}"
+    eng = BSPEngine(man, work)
+    eng.run(PageRank(man.n_vertices, num_iters=4), checkpoint_interval=2)
+    with open(os.path.join(eng.iter_dir(4), "_DONE.json"), "wb") as f:
+        f.write(b"\x00\xff{not json")
+    assert eng.run(PageRank(man.n_vertices, num_iters=8), resume=True, checkpoint_interval=2) == 8
+    with open(os.path.join(work, "run.json")) as f:
+        assert [h["superstep"] for h in json.load(f)["history"]] == [6, 8]
+    for p in range(man.n_parts):
+        name = f"part-{p:05d}.parquet"
+        with open(os.path.join(eng.iter_dir(8), name), "rb") as a, open(
+            os.path.join(ref.iter_dir(8), name), "rb"
+        ) as b:
+            assert a.read() == b.read()
 
 
 def test_resume_skips_complete_iterations(fixtures_dir):

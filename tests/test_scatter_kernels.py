@@ -4,12 +4,14 @@
 (``CSRShard.by_dst``) instead of gathering and stable-sorting every
 superstep; ``_combine_block`` no longer sorts its (already
 destination-ordered) input; a vote sorts one packed int64 key and picks
-its winners in a linear pass. tests/oracle.py keeps the gather +
-stable-argsort scatter and the two-lexsort vote as references, and each
-kernel must equal its reference exactly (bytes, dtypes and chunk kinds)
-on random graphs: weighted and unweighted, P = 1 and P > 1, full,
-partial and empty frontiers, every combiner, and the vote labels that
-cannot be packed (negative, -0.0, fractional, NaN, >= 2^32).
+its winners in a linear pass; min and bor inboxes fold in place.
+tests/oracle.py keeps the gather + stable-argsort scatter and the
+lexsort reductions as references, and each kernel must equal its
+reference exactly (bytes, dtypes and chunk kinds) on random graphs:
+weighted and unweighted, P = 1 and P > 1, full, partial and empty
+frontiers, every combiner, and the vote labels that cannot be packed
+(negative, -0.0, fractional, NaN, >= 2^32). A hub-split partition's
+slices of the destination order must reduce to the unsplit scatter.
 """
 
 import os
@@ -62,7 +64,9 @@ def write_graph(gdir, rng, n, m, n_parts, weighted):
 
 class Probe(Algorithm):
     """Sends its value (a sum sends value / degree) with one edge-weight
-    op; ``scatter_all`` makes every vertex send."""
+    op; ``scatter_all`` makes every vertex send. Its ``apply`` hands back
+    the reduced inbox, so ``engine._apply_core`` returns ``(agg, has,
+    wire rows)``."""
 
     def __init__(self, combine, op=None, scatter_all=False):
         self.combine, self.op, self.scatter_all = combine, op, scatter_all
@@ -70,6 +74,17 @@ class Probe(Algorithm):
     def message_base(self, ids, values, degrees, superstep):
         base = values / np.maximum(degrees, 1) if self.combine == "sum" else values
         return ScatterOut(base=base, **({self.op: True} if self.op else {}))
+
+    def apply(self, old_values, agg, has_msg, superstep):
+        return agg, has_msg, None
+
+
+class AggregatingProbe(Probe):
+    """A Probe with an aggregator channel: each partition's partial is
+    its vertices' summed degree."""
+
+    def scatter_aggregate(self, ids, values, degrees, superstep):
+        return float(degrees.sum())
 
 
 def assert_same(got, want):
@@ -108,25 +123,32 @@ CASES = [
 ]
 
 
+FRONTIERS = ("all", "partial", "one", "none", "scatter_all")
+
+
+def _frontier(rng, frontier, n):
+    return {
+        "all": lambda: np.ones(n, dtype=bool),
+        "partial": lambda: rng.random(n) < 0.3,
+        "one": lambda: np.arange(n) == n // 2,
+        "none": lambda: np.zeros(n, dtype=bool),
+        "scatter_all": lambda: rng.random(n) < 0.3,
+    }[frontier]()
+
+
 @pytest.mark.parametrize("n_parts", [1, 3])
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("combine,op,labels", CASES)
 def test_scatter_equals_gather_and_sort(combine, op, labels, weighted, n_parts):
     rng = np.random.default_rng([n_parts, weighted, CASES.index((combine, op, labels))])
     man = write_graph(f"{TMP}/g", rng, n=60, m=900, n_parts=n_parts, weighted=weighted)
-    for frontier in ("all", "partial", "one", "none", "scatter_all"):
+    for frontier in FRONTIERS:
         algo = Probe(combine, op, scatter_all=frontier == "scatter_all")
         for p in range(man.n_parts):
             lo, hi = man.part_bounds(p)
             ids = np.arange(lo, hi, dtype=np.int64)
             values = _values(rng, combine, hi - lo, labels)
-            active = {
-                "all": np.ones(hi - lo, dtype=bool),
-                "partial": rng.random(hi - lo) < 0.3,
-                "one": np.arange(hi - lo) == (hi - lo) // 2,
-                "none": np.zeros(hi - lo, dtype=bool),
-                "scatter_all": rng.random(hi - lo) < 0.3,
-            }[frontier]
+            active = _frontier(rng, frontier, hi - lo)
             got = engine._scatter_core(man, algo, 0, ids, values, active)
             sel = np.ones(hi - lo, dtype=bool) if algo.scatter_all else active
             degs = np.diff(load_shard(man, p).indptr)[sel]
@@ -169,3 +191,76 @@ def test_fold_combine_block_equals_sorting(combine):
         dst = np.sort(rng.integers(0, 200, k), kind="stable")
         val = _values(rng, combine, k, None)
         assert_same(engine._combine_block(combine, dst, val), oracle.combine_block(combine, dst, val))
+
+
+@pytest.mark.parametrize("n_slices", [2, 3])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("combine,op,labels", CASES)
+def test_sliced_scatter_equals_unsplit(combine, op, labels, weighted, n_slices):
+    """A hub-split partition's slices cut its cached destination order:
+    each slice's sparse chunks are destination-ordered, only slice 0
+    carries the aggregator partial, and every destination partition's
+    inbox from the slices reduces (``_apply_core``) to what the unsplit
+    scatter's does: exactly for min/bor/vote, to 1e-12 for sum, with
+    the same per-destination vote counts."""
+    rng = np.random.default_rng([n_slices, weighted, CASES.index((combine, op, labels))])
+    man = write_graph(f"{TMP}/g", rng, n=60, m=900, n_parts=3, weighted=weighted)
+    for frontier in FRONTIERS:
+        algo = AggregatingProbe(combine, op, scatter_all=frontier == "scatter_all")
+        for p in range(man.n_parts):
+            lo, hi = man.part_bounds(p)
+            ids = np.arange(lo, hi, dtype=np.int64)
+            values = _values(rng, combine, hi - lo, labels)
+            active = _frontier(rng, frontier, hi - lo)
+            whole = engine._scatter_core(man, algo, 0, ids, values, active)
+            parts = [
+                engine._scatter_core(man, algo, 0, ids, values, active, j, n_slices)
+                for j in range(n_slices)
+            ]
+            partial = whole[0][1]
+            for j, chunks in enumerate(parts):
+                assert [g for _c, g in chunks] == [partial if j == 0 else 0.0] * man.n_parts
+                for c, _g in chunks:
+                    if c is not None and c[0] == "sparse":
+                        step = np.diff(c[1])
+                        assert (step >= 0).all() if combine == "vote" else (step > 0).all()
+            for q in range(man.n_parts):
+                qids = np.arange(*man.part_bounds(q), dtype=np.int64)
+                inbox = [chunks[q] for chunks in parts]
+                got = engine._apply_core(man, algo, 0, qids, None, inbox)
+                want = engine._apply_core(man, algo, 0, qids, None, [whole[q]])
+                assert (got[1] == want[1]).all()
+                if combine == "sum":
+                    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
+                else:
+                    assert got[0].tobytes() == want[0].tobytes()
+                if combine == "vote":
+
+                    def votes(chunks):
+                        return sum(
+                            np.bincount(c[1] - qids[0], weights=c[3], minlength=len(qids))
+                            for c, _g in chunks
+                            if c is not None
+                        )
+
+                    assert np.array_equal(votes(inbox), votes([whole[q]]))
+
+
+@pytest.mark.parametrize("combine", ["sum", "min", "bor"])
+def test_reduce_messages_equals_sorting(combine):
+    """min and bor fold the inbox in place instead of lexsorting it; on
+    inboxes in arrival order and shuffled, with 0.0 / -0.0 ties, inf and
+    NaN (min and sum), they reduce exactly as the sorting reference."""
+    rng = np.random.default_rng(["sum", "min", "bor"].index(combine))
+    for k in (0, 1, 9, 4000):
+        dst = rng.integers(50, 350, k)
+        val = _values(rng, combine, k, None)
+        special = [0.0, -0.0] if combine == "bor" else [0.0, -0.0, np.inf, np.nan]
+        hit = rng.random(k) < 0.4
+        val[hit] = rng.choice(special, int(hit.sum()))
+        cnt = np.zeros(k, dtype=np.int64)
+        for perm in (np.arange(k), rng.permutation(k)):
+            with np.errstate(invalid="ignore"):
+                got = engine._reduce_messages(combine, 300, 50, dst[perm], val[perm], cnt[perm])
+            want = oracle.reduce_messages(combine, 300, 50, dst[perm], val[perm], cnt[perm])
+            assert_same(got, want)

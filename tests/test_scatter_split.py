@@ -4,10 +4,11 @@ The north_rule asks for "explicit skew mitigation for high-degree hubs
 (vertex splitting/combiners)". Combining is the per-destination dense
 combiner; splitting is edge-sliced scatter: a partition whose shard
 exceeds ``engine.SCATTER_SPLIT_EDGES`` fans its scatter out over several tasks,
-each expanding a disjoint CSR edge-index range (engine.plan_scatter_slices
-/ _scatter_core). These tests build a star-heavy graph — one hub whose
-adjacency dominates its partition, the exact web-graph skew shape — and
-assert split vs unsplit parity:
+each taking a disjoint range of the shard's cached destination order
+(engine.plan_scatter_slices / _scatter_core, CSRShard.by_dst). These
+tests build a star-heavy graph — one hub whose adjacency dominates its
+partition, the exact web-graph skew shape — and assert split vs unsplit
+parity:
 
   - exact-integer algorithms (CC min-combine) are bit-identical,
   - PageRank (float sum) agrees to 1e-9 (summation-order ulps only),
@@ -71,16 +72,17 @@ def _run(man, algo, tag, split_edges):
     return t.sort_values("id").reset_index(drop=True)
 
 
-def test_plan_slices_targets_only_hot_partitions(ray_session):
+def test_plan_slices_targets_only_hot_partitions(ray_session, monkeypatch):
     man = _star_graph()
     ec = {int(r["part"]): int(r["n_edges"]) for r in man.parts}
     # hub partition holds the star's out-edges: heaviest by far
     assert ec[0] > 2 * min(ec.values())
-    slices = plan_scatter_slices(man, split_edges=3000)
-    assert slices[0] > 1
-    assert plan_scatter_slices(man, split_edges=0) == [1] * man.n_parts
     # default cap leaves small graphs unsplit
-    assert plan_scatter_slices(man, split_edges=None) == [1] * man.n_parts
+    assert plan_scatter_slices(man) == [1] * man.n_parts
+    monkeypatch.setattr(engine, "SCATTER_SPLIT_EDGES", 3000)
+    assert plan_scatter_slices(man)[0] > 1
+    monkeypatch.setattr(engine, "SCATTER_SPLIT_EDGES", 0)
+    assert plan_scatter_slices(man) == [1] * man.n_parts
 
 
 def test_cc_bit_identical_under_split(ray_session):
