@@ -125,8 +125,16 @@ def _combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
         # bitwise OR over integer-valued payloads (< 2^53, exact)
         red = np.bitwise_or.reduceat(val.astype(np.int64), starts).astype(np.float64)
         return dst[starts], red, np.zeros(len(starts), dtype=np.int64)
-    red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
-    return dst[starts], red(val, starts), np.zeros(len(starts), dtype=np.int64)
+    if combine == "sum":
+        red = np.add.reduceat(val, starts)
+    else:
+        red = np.minimum.reduceat(val, starts)
+        # which of 0.0 / -0.0 ``minimum.reduceat`` keeps depends on the
+        # run's length (its SIMD lanes): as in ``_reduce_messages``, a
+        # zero minimum is -0.0 if any -0.0 arrived
+        if np.signbit(val).any():
+            red[(red == 0) & np.logical_or.reduceat((val == 0) & np.signbit(val), starts)] = -0.0
+    return dst[starts], red, np.zeros(len(starts), dtype=np.int64)
 
 
 def _reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):

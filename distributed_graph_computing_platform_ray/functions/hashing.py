@@ -150,15 +150,17 @@ def unique_segments(vals: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def minhash_signatures_segments(
-    shingles: np.ndarray, offs: np.ndarray, a: np.ndarray, b: np.ndarray, perm_chunk: int = 16
+    shingles: np.ndarray, offs: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """(n_segments, n_perm) MinHash signatures — one vectorized pass
-    over the concatenated shingle sets instead of a Python call per
+    over the concatenated shingles instead of a Python call per
     document. Same arithmetic as ``tests/oracle.py::minhash_signature``
-    (uint64 wraparound multiply + mod M61, same empty-set fill);
-    ``np.minimum.reduceat`` over segment starts replaces the per-doc
-    min. Permutations are chunked so the (n_shingles, chunk)
-    intermediate stays small regardless of batch size."""
+    (uint64 wraparound multiply + mod M61, same empty-set fill). Each
+    permutation is its own 1-D pass, in place over one contiguous
+    (n_shingles,) buffer, closed by ``np.minimum.reduceat`` over the
+    segment starts. A segment may be a multiset: the minimum over
+    repeated shingles is the minimum over their set, so callers need
+    not dedup first."""
     n = len(offs) - 1
     n_perm = len(a)
     out = np.full((n, n_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -169,18 +171,23 @@ def minhash_signatures_segments(
         return out
     starts = np.asarray(offs[:-1])[nonempty]
     x = shingles.astype(np.uint64) % _MERSENNE
+    y = np.empty_like(x)
+    q = np.empty_like(x)
     with np.errstate(over="ignore"):
-        for c0 in range(0, n_perm, perm_chunk):
-            ac = a[c0 : c0 + perm_chunk]
-            bc = b[c0 : c0 + perm_chunk]
-            y = ac[None, :] * x[:, None] + bc[None, :]
+        for i in range(n_perm):
+            np.multiply(a[i], x, out=y)
+            y += b[i]
             # y % M61 without the 64-bit modulo: y = q*2^61 + low with
             # 2^61 ≡ 1 (mod M61), so y ≡ q + low; the sum is < 2^61+8,
             # one conditional subtract finishes (identical values to
-            # np.mod — parity-tested)
-            y = (y >> np.uint64(61)) + (y & _MERSENNE)
-            y -= np.where(y >= _MERSENNE, _MERSENNE, np.uint64(0))
-            out[nonempty, c0 : c0 + perm_chunk] = np.minimum.reduceat(y, starts, axis=0)
+            # np.mod — parity-tested, the subtract branch included)
+            np.right_shift(y, np.uint64(61), out=q)
+            y &= _MERSENNE
+            y += q
+            big = y >= _MERSENNE
+            if big.any():
+                np.subtract(y, _MERSENNE, out=y, where=big)
+            out[nonempty, i] = np.minimum.reduceat(y, starts)
     return out
 
 
@@ -188,9 +195,11 @@ def simhash64_segments(feature_hashes: np.ndarray, offs: np.ndarray) -> np.ndarr
     """int64[n_segments] SimHash — vectorized over the concatenated
     per-doc feature-hash arrays. Bit-identical to the per-doc
     ``tests/oracle.py::simhash64`` per segment (the ±1 accumulation
-    is exact in both int and float; empty segments hash to 0). Bits
-    are processed 16 at a time to bound the (n_features, 16) int64
-    intermediate."""
+    is exact in both int and float; empty segments hash to 0). Each
+    byte of the hashes is unpacked into 8 bit columns and summed per
+    segment; a segment sets bit j where its ones outnumber its zeros
+    (2 * ones > length), and the 64 bits pack back into one uint64 per
+    segment."""
     n = len(offs) - 1
     out = np.zeros(n, dtype=np.int64)
     if n == 0 or len(feature_hashes) == 0:
@@ -198,17 +207,17 @@ def simhash64_segments(feature_hashes: np.ndarray, offs: np.ndarray) -> np.ndarr
     nonempty = offs[1:] > offs[:-1]
     if not nonempty.any():
         return out
-    starts = np.asarray(offs[:-1])[nonempty]
-    acc = np.empty((len(starts), 64), dtype=np.int64)
-    for j0 in range(0, 64, 16):
-        shifts = np.arange(j0, j0 + 16, dtype=np.uint64)[None, :]
-        bits = ((feature_hashes[:, None] >> shifts) & np.uint64(1)).astype(np.int64) * 2 - 1
-        acc[:, j0 : j0 + 16] = np.add.reduceat(bits, starts, axis=0)
-    pos = acc > 0
-    vals = np.zeros(len(starts), dtype=np.uint64)
-    for j in range(64):
-        vals |= pos[:, j].astype(np.uint64) << np.uint64(j)
-    out[nonempty] = vals.view(np.int64)
+    starts = offs[:-1][nonempty]
+    # byte j of the little-endian hash holds bits 8j..8j+7; one byte
+    # column at a time, because reduceat's int64 cast copies its whole
+    # input (512 B per feature for all 64 bits at once)
+    by = np.ascontiguousarray(feature_hashes, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    ones = np.empty((len(starts), 64), dtype=np.int64)
+    for j in range(8):
+        bits = np.unpackbits(by[:, j : j + 1], axis=1, bitorder="little")
+        ones[:, 8 * j : 8 * j + 8] = np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+    pos = 2 * ones > np.diff(offs)[nonempty, None]
+    out[nonempty] = np.packbits(pos, axis=1, bitorder="little").view("<i8").ravel()
     return out
 
 

@@ -17040,19 +17040,24 @@ def q_page_minhash_bands(sf_dir: str, n_pages: int = 2000):
     from ..stages.analyze import analyze_pages
 
     res = analyze_pages(generate_pages(n_pages))
+    return res.map_batches(_explode_band_hashes, batch_format="pyarrow")
 
-    def explode(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        urls = t["url"]
-        bh = t["band_hashes"]
-        flat = pc.list_flatten(bh)
-        n_bands = len(flat) // max(n, 1) if n else 16
-        return pa.table(
-            {
-                "url": pa.array(np.repeat(urls.to_numpy(zero_copy_only=False), n_bands)),
-                "band_id": pa.array(np.tile(np.arange(n_bands, dtype=np.int64), n)),
-                "band_hash": flat,
-            }
-        )
 
-    return res.map_batches(explode, batch_format="pyarrow")
+def _explode_band_hashes(t: pa.Table) -> pa.Table:
+    """(url, band_id, band_hash) rows from each page's ``band_hashes``
+    list. Every list must have the same length (the band count); a
+    ragged or null list raises ValueError instead of shifting band ids
+    across pages."""
+    n = t.num_rows
+    bh = t["band_hashes"]
+    lens = pc.list_value_length(bh).to_numpy(zero_copy_only=False)
+    if n and (bh.null_count or (lens != lens[0]).any()):
+        raise ValueError(f"ragged band_hashes: {n} pages hold null lists or lists of unequal length")
+    n_bands = int(lens[0]) if n else 0
+    return pa.table(
+        {
+            "url": pa.array(np.repeat(t["url"].to_numpy(zero_copy_only=False), n_bands)),
+            "band_id": pa.array(np.tile(np.arange(n_bands, dtype=np.int64), n)),
+            "band_hash": pc.list_flatten(bh),
+        }
+    )

@@ -28,7 +28,6 @@ from ..functions.hashing import (
     minhash_params,
     minhash_signatures_segments,
     simhash64_segments,
-    unique_segments,
 )
 from ..functions.text import (
     lang_id_counts_lwords,
@@ -48,7 +47,9 @@ class PageAnalyze:
         that is inherently per-document (decode, extract, split,
         lang/quality counts); every hash — token FNV, shingle FNV,
         MinHash, SimHash, band fold — runs ONCE per batch over the
-        concatenated token/gram arrays with segment offsets.
+        concatenated token/gram arrays with segment offsets, and
+        MinHash reads the gram hashes as they come (duplicates
+        included, no per-doc unique pass).
         Bit-identical to the per-doc composition of the public
         functions (tests/test_analyze.py parity test); ~2x fewer
         small allocations per doc, which is what limits per-core
@@ -84,9 +85,10 @@ class PageAnalyze:
             woff[i + 1] = len(flat_words)
         th_all = fnv1a64(flat_words) if flat_words else np.empty(0, dtype=np.uint64)
         simhash = simhash64_segments(th_all, woff)
+        # MinHash takes the raw gram multiset: a minimum over repeated
+        # grams is the minimum over their set, so no per-doc dedup
         gh_all, goff = fnv1a64_gram_segments(flat_words, woff, self.k)
-        sh_all, soff = unique_segments(gh_all, goff)
-        sigs = minhash_signatures_segments(sh_all, soff, self.a, self.b)
+        sigs = minhash_signatures_segments(gh_all, goff, self.a, self.b)
         bands = band_hashes_batch(sigs, self.n_bands).view(np.int64)
         band_col = pa.ListArray.from_arrays(
             pa.array(np.arange(n + 1, dtype=np.int64) * self.n_bands, pa.int32()),

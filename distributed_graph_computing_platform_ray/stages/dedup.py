@@ -156,8 +156,11 @@ class MinHashStage:
         ids = t[self.id_col].to_numpy()
         texts = t[self.text_col].to_pylist()
         n = len(texts)
-        sh, soff = _shingle_segments(texts, self.k)
-        sigs = minhash_signatures_segments(sh, soff, self.a, self.b)
+        # the raw gram multiset, not _shingle_segments' sets: MinHash's
+        # per-permutation minimum is the same either way
+        flat, woff = _flat_lower_words(texts)
+        gh, goff = fnv1a64_gram_segments(flat, woff, self.k)
+        sigs = minhash_signatures_segments(gh, goff, self.a, self.b)
         bh = band_hashes_batch(sigs, self.n_bands).view(np.int64)
         return pa.table(
             {

@@ -235,8 +235,11 @@ def combine_block(combine: str, dst: np.ndarray, val: np.ndarray):
     if combine == "bor":
         red = np.bitwise_or.reduceat(v.astype(np.int64), starts).astype(np.float64)
         return d[starts], red, np.zeros(len(starts), dtype=np.int64)
-    red = np.add.reduceat if combine == "sum" else np.minimum.reduceat
-    return d[starts], red(v, starts), np.zeros(len(starts), dtype=np.int64)
+    if combine == "sum":
+        return d[starts], np.add.reduceat(v, starts), np.zeros(len(starts), dtype=np.int64)
+    r = np.minimum.reduceat(v, starts)
+    r[(r == 0) & np.logical_or.reduceat((v == 0) & np.signbit(v), starts)] = -0.0
+    return d[starts], r, np.zeros(len(starts), dtype=np.int64)
 
 
 def reduce_messages(combine: str, n_local: int, lo: int, dst, val, cnt):

@@ -310,6 +310,133 @@ def test_sketch_segment_kernels_match_perdoc():
         assert sh[i] == want, i
 
 
+M61 = (1 << 61) - 1
+
+
+def _segments(segs):
+    vals = np.concatenate([np.asarray(s, dtype=np.uint64) for s in segs] + [np.empty(0, np.uint64)])
+    offs = np.zeros(len(segs) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in segs], out=offs[1:])
+    return vals, offs
+
+
+def test_minhash_fold_subtract_branch():
+    """Shingles whose permuted value a*x + b wraps to 2^64-1-k (k <= 7)
+    fold to 2^61+6-k >= M61, the rare case that needs the conditional
+    subtract. For odd a the shingle is x = (2^64-1-k - b) * a^-1 mod
+    2^64, kept when x < M61 (so x mod M61 is x itself). Each such
+    shingle alone, and all of them in one segment, must hash as the
+    oracle's plain ``% M61``."""
+    a, b = minhash_params(128)
+    forced, perms = [], set()
+    for i in range(len(a)):
+        ai, bi = int(a[i]), int(b[i])
+        if ai % 2 == 0:
+            continue
+        inv = pow(ai, -1, 1 << 64)
+        for k in range(8):
+            x = ((2**64 - 1 - k - bi) * inv) % (1 << 64)
+            if x < M61:
+                y = (ai * x + bi) % (1 << 64)
+                assert (y >> 61) + (y & M61) >= M61
+                forced.append(x)
+                perms.add(i)
+    assert len(perms) == 44
+    segs = [[x] for x in forced] + [forced, forced[::-1] + [5, 2**63]]
+    sigs = minhash_signatures_segments(*_segments(segs), a, b)
+    for i, s in enumerate(segs):
+        assert np.array_equal(sigs[i], minhash_signature(np.array(s, dtype=np.uint64), a, b)), i
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0, 1, 7, M61 - 1, M61, M61 + 3, 2**63, 2**64 - 1]), max_size=12),
+        max_size=8,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_minhash_multiset_equals_set(segs, rnd):
+    """A segment with repeated shingles, in any order, has the signature
+    of its ``np.unique`` set (the analyze stages skip the dedup)."""
+    a, b = minhash_params(128)
+    segs = [rnd.sample(s, len(s)) for s in segs]
+    got = minhash_signatures_segments(*_segments(segs), a, b)
+    uniq = [np.unique(np.array(s, dtype=np.uint64)) for s in segs]
+    want = minhash_signatures_segments(*_segments(uniq), a, b)
+    assert np.array_equal(got, want)
+    for i, u in enumerate(uniq):
+        assert np.array_equal(got[i], minhash_signature(u, a, b)), i
+
+
+def test_simhash_segments_edge_cases():
+    """Bit-for-bit against the oracle: exact ones/zeros ties (a tie
+    clears the bit), lengths 1, 2 and 1,000, empty segments between
+    non-empty ones, and an all-empty batch."""
+    rng = np.random.default_rng(11)
+    h = rng.integers(0, 2**64 - 1, 8, dtype=np.uint64, endpoint=True)
+    full = np.uint64(2**64 - 1)
+    segs = [
+        [h[0], h[0] ^ full],  # every bit a 1-1 tie
+        [h[1], h[1] ^ full, h[2], h[2] ^ full],  # 2-2 ties
+        [h[3], h[3] ^ full, h[3]],  # ties broken by a third copy
+        [h[4]],
+        [],
+        [h[5], h[6]],
+        [],
+        [],
+        list(rng.integers(0, 2**64 - 1, 1000, dtype=np.uint64, endpoint=True)),
+        [np.uint64(0), full],
+        [],
+    ]
+    got = simhash64_segments(*_segments(segs))
+    for i, s in enumerate(segs):
+        want = np.uint64(simhash64(np.array(s, dtype=np.uint64))).astype(np.int64)
+        assert got[i] == want, i
+    assert got[0] == 0 and got[2] == np.uint64(h[3]).astype(np.int64)
+    empty = simhash64_segments(np.empty(0, np.uint64), np.zeros(4, dtype=np.int64))
+    assert empty.dtype == np.int64 and np.array_equal(empty, np.zeros(3, dtype=np.int64))
+
+
+def test_minhash_stage_matches_oracle():
+    """MinHashStage hashes each text's raw gram multiset; its band keys
+    equal the oracle's over the deduped shingle set."""
+    from distributed_graph_computing_platform_ray.functions.text import shingle_hashes
+    from distributed_graph_computing_platform_ray.stages.dedup import MinHashStage
+
+    texts = ["a b c a b c a b c", "Two words", "", None, "x y z w x y z w q", "solo"]
+    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()), "text": pa.array(texts, pa.string())})
+    got = MinHashStage()(t)["band_hash"].to_numpy().reshape(len(texts), 16)
+    a, b = minhash_params(128, 7)
+    for i, txt in enumerate(texts):
+        want = band_hashes(minhash_signature(shingle_hashes(txt or "", 3), a, b), 16)
+        assert np.array_equal(got[i], want.view(np.int64)), i
+
+
+def test_page_minhash_bands_explode_rejects_ragged_lists():
+    """The band count comes from each row's list length: equal lengths
+    explode to (url, band_id, band_hash) rows, ragged or null lists
+    raise instead of shifting band ids across pages."""
+    from distributed_graph_computing_platform_ray.pipelines.testdata import _explode_band_hashes
+
+    def table(lists):
+        return pa.table(
+            {
+                "url": pa.array([f"u{i}" for i in range(len(lists))], pa.string()),
+                "band_hashes": pa.array(lists, pa.list_(pa.int64())),
+            }
+        )
+
+    out = _explode_band_hashes(table([[1, 2, 3], [4, 5, 6]]))
+    assert out["url"].to_pylist() == ["u0"] * 3 + ["u1"] * 3
+    assert out["band_id"].to_pylist() == [0, 1, 2] * 2
+    assert out["band_hash"].to_pylist() == [1, 2, 3, 4, 5, 6]
+    assert _explode_band_hashes(table([])).num_rows == 0
+    for bad in ([[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5, 6]], [[1, 2], None]):
+        with pytest.raises(ValueError, match="ragged band_hashes"):
+            _explode_band_hashes(table(bad))
+
+
 def test_fnv_gram_segments_chunked_array_input():
     """The kernel accepts a pyarrow ChunkedArray (combine_chunks path)
     and matches the list-input result."""

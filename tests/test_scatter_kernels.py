@@ -46,13 +46,20 @@ LABELS = {
 def write_graph(gdir, rng, n, m, n_parts, weighted):
     """A random directed multigraph (hub-skewed sources, duplicates and
     self-loops kept) written as CSR shards with its manifest."""
-    shutil.rmtree(gdir, ignore_errors=True)
-    os.makedirs(os.path.join(gdir, "csr"))
     src = np.minimum((rng.pareto(1.2, m) * n / 8).astype(np.int64), n - 1)
     dst = rng.integers(0, n, m)
     w = rng.choice([0.25, 1.0, 2.5, 7.0], m) if weighted else None
+    return write_edges(gdir, n, src, dst, w, n_parts)
+
+
+def write_edges(gdir, n, src, dst, w, n_parts):
+    """The directed edges src -> dst (weights ``w`` or None) over n
+    vertices, written as CSR shards with their manifest."""
+    shutil.rmtree(gdir, ignore_errors=True)
+    os.makedirs(os.path.join(gdir, "csr"))
+    weighted = w is not None
     part_size, n_parts = GraphManifest.plan(gdir, n, n_parts)
-    man = GraphManifest(gdir, n, m, part_size, n_parts, weighted=weighted)
+    man = GraphManifest(gdir, n, len(src), part_size, n_parts, weighted=weighted)
     for p in range(n_parts):
         lo, hi = man.part_bounds(p)
         mine = (src >= lo) & (src < hi)
@@ -244,6 +251,32 @@ def test_sliced_scatter_equals_unsplit(combine, op, labels, weighted, n_slices):
                         )
 
                     assert np.array_equal(votes(inbox), votes([whole[q]]))
+
+
+@pytest.mark.parametrize("k", [2, 8, 9, 17, 33])
+def test_min_run_keeps_negative_zero(k):
+    """k zero messages into one vertex, the last of them -0.0: which
+    zero ``np.minimum.reduceat`` keeps depends on the run's length
+    (0.0 at 9, 17 and 33 elements), so the in-block combiner applies the
+    inbox's rule (a zero minimum is -0.0 if a -0.0 arrived), and a
+    hub-sliced and an unsplit scatter of the run agree on the sign."""
+    man = write_edges(f"{TMP}/neg0", k + 1, np.arange(k), np.full(k, k), None, 1)
+    ids = np.arange(k + 1, dtype=np.int64)
+    values = np.zeros(k + 1)
+    values[k - 1] = -0.0
+    active = np.ones(k + 1, dtype=bool)
+    algo = Probe("min")
+    whole = engine._scatter_core(man, algo, 0, ids, values, active)
+    assert whole[0][0] == "sparse" and len(whole[0][1]) == 1  # one run of k
+    assert np.signbit(whole[0][2][0])
+    sliced = [engine._scatter_core(man, algo, 0, ids, values, active, j, 2)[0] for j in range(2)]
+    for inbox in ([whole[0]], sliced):
+        agg, has, _ = engine._apply_core(man, algo, 0, ids, None, inbox)
+        assert has[k] and agg[k] == 0 and np.signbit(agg[k])
+    assert_same(
+        engine._combine_block("min", np.full(k, k), values[:k]),
+        oracle.combine_block("min", np.full(k, k), values[:k]),
+    )
 
 
 @pytest.mark.parametrize("combine", ["sum", "min", "bor"])
